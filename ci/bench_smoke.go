@@ -12,6 +12,12 @@
 // firing) shows up as a collapsed ratio even on a slow runner. The
 // measurement itself re-checks cross-engine cycle/instruction
 // equivalence, so a timing divergence also fails the lane.
+//
+// A second gate covers the scheduler rung: a 126-thread in-cache STREAM
+// point on the block and legacy engines. Its legacy/block host-time
+// ratio must stay within ratioSlack of the newest recorded one, so a
+// scheduler regression fails the lane even though the solo loop never
+// queues a second unit.
 package main
 
 import (
@@ -29,7 +35,11 @@ import (
 const ratioSlack = 0.8
 
 // samples per engine; medians absorb scheduler noise on shared runners.
-const samples = 3
+// The scheduler rung's runs are short, so it takes more.
+const (
+	samples      = 3
+	schedSamples = 9
+)
 
 func main() {
 	log.SetFlags(0)
@@ -59,7 +69,41 @@ func main() {
 		log.Fatalf("block engine regressed: measured ratio %.2f < %.2f (%.0f%% of recorded %.2f)",
 			ratio, ratioSlack*baseline, 100*ratioSlack, baseline)
 	}
+
+	schedBase, schedID := recordedSchedSpeedup(path)
+	log.Printf("baseline %s: scheduler rung block/legacy = %.2f (gate: >= %.2f)", schedID, schedBase, ratioSlack*schedBase)
+	sched, err := instrate.MeasureSched(schedSamples)
+	if err != nil {
+		log.Fatal(err) // includes cross-engine equivalence breaks
+	}
+	fmt.Println("scheduler rung   simMIPS   ns/run")
+	for _, r := range sched {
+		fmt.Printf("%-8s  %8.2f  %8d\n", r.Engine, r.SimMIPS, r.NsPerRun)
+	}
+	schedRatio := instrate.SchedSpeedup(sched)
+	log.Printf("measured scheduler rung block/legacy = %.2f", schedRatio)
+	if schedRatio < ratioSlack*schedBase {
+		log.Fatalf("scheduler regressed: measured ratio %.2f < %.2f (%.0f%% of recorded %.2f)",
+			schedRatio, ratioSlack*schedBase, 100*ratioSlack, schedBase)
+	}
 	log.Print("ok")
+}
+
+// recordedSchedSpeedup returns the scheduler rung's block/legacy
+// speedup from the newest trajectory entry recording it, and that
+// entry's id.
+func recordedSchedSpeedup(path string) (float64, string) {
+	f, err := instrate.Load(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := len(f.Entries) - 1; i >= 0; i-- {
+		if e := f.Entries[i]; e.SpeedupSchedBlockVsLegacy > 0 {
+			return e.SpeedupSchedBlockVsLegacy, e.ID
+		}
+	}
+	log.Fatalf("%s: no entry records the scheduler rung", path)
+	return 0, ""
 }
 
 // recordedRatio returns the block/decoded speedup of the newest

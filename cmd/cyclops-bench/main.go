@@ -8,6 +8,7 @@
 //	cyclops-bench -all -scale full [-parallel N]
 //	cyclops-bench -run fig4a -trace-runs trace.json -metrics-out metrics.txt
 //	cyclops-bench -instrate [-samples N] [-bench-json BENCH_sim.json -bench-id pr6]
+//	cyclops-bench -run fig5a -engine decoded -cpuprofile cpu.pprof
 //
 // Every experiment point is an independent deterministic simulation, so
 // the sweeps fan out across -parallel workers (default: all CPUs) and the
@@ -28,6 +29,7 @@
 // per-stage/per-workload latency histograms in the same sorted text
 // format cyclops-serve's /metrics speaks. Both files are created up
 // front and tracing stays off — and free — unless asked for.
+// -cpuprofile writes a pprof CPU profile of the whole host process.
 // -instrate measures
 // exactly the engines' host-side difference: the median
 // simulated-MIPS of each engine on a dispatch-bound loop, appendable as
@@ -76,7 +78,19 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "with -instrate: append the measurement to this BENCH_sim.json trajectory file")
 	benchID := flag.String("bench-id", "", "with -instrate -bench-json: id tag for the appended entry")
 	benchNote := flag.String("bench-note", "", "with -instrate -bench-json: free-form note for the appended entry")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the whole run to this file")
 	flag.Parse()
+
+	// The profile file is created up front like every other output, and
+	// the profile covers the whole run; exit flushes it on every path.
+	outCPU, err := createOut(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
+	if err := startCPUProfile(outCPU); err != nil {
+		fatal(err)
+	}
+	defer func() { stopCPUProfile() }()
 
 	// Workloads build their chips from the process defaults deep inside
 	// the experiment points; installing the selections reaches them all.
@@ -167,8 +181,8 @@ func main() {
 		e, _ := harness.Lookup("breakdown")
 		exps = append(exps, e)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all | -stats  [-scale small|full] [-csv dir] [-parallel N]")
-		os.Exit(2)
+		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all | -stats  [-scale small|full] [-csv dir] [-parallel N] [-cpuprofile F]")
+		exit(2)
 	}
 
 	start := time.Now()
@@ -199,7 +213,7 @@ func main() {
 		len(exps)-failed, len(exps), time.Since(start).Seconds(), sweep.Workers())
 	flushTelemetry()
 	if failed > 0 {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -240,5 +254,5 @@ func runExperiments(exps []harness.Experiment, scale harness.Scale, concurrent b
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cyclops-bench:", err)
-	os.Exit(1)
+	exit(1)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 )
 
 // outFile is a pre-created output destination ("-" = stdout, nil = off),
@@ -46,4 +47,40 @@ func (o *outFile) emit(fn func(io.Writer) error) error {
 		return fmt.Errorf("writing %s: %w", o.path, err)
 	}
 	return nil
+}
+
+// stopCPUProfile stops a running -cpuprofile and closes its file; main's
+// normal return and exit both call it, so every exit path flushes the
+// profile. It is a no-op when no profile runs.
+var stopCPUProfile = func() {}
+
+// startCPUProfile profiles the host CPU into o (nil = off) until
+// stopCPUProfile.
+func startCPUProfile(o *outFile) error {
+	if o == nil {
+		return nil
+	}
+	if o.f == os.Stdout {
+		return fmt.Errorf("-cpuprofile needs a file, not stdout")
+	}
+	if err := pprof.StartCPUProfile(o.f); err != nil {
+		o.f.Close()
+		return err
+	}
+	stopCPUProfile = func() {
+		stopCPUProfile = func() {}
+		if err := o.emit(func(io.Writer) error {
+			pprof.StopCPUProfile()
+			return nil
+		}); err != nil {
+			fmt.Fprintln(os.Stderr, "cyclops-bench:", err)
+		}
+	}
+	return nil
+}
+
+// exit flushes the CPU profile, if any, and ends the process.
+func exit(code int) {
+	stopCPUProfile()
+	os.Exit(code)
 }

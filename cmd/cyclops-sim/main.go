@@ -17,7 +17,8 @@
 // as CSV (or JSON when the file ends in .json); -metrics-out writes the
 // run's headline counters (cycles, instructions, stalls by reason) and
 // its host wall time in the same sorted text format cyclops-serve's
-// /metrics endpoint speaks. Every output file is
+// /metrics endpoint speaks. -cpuprofile writes a pprof CPU profile of
+// the simulator host process itself (go tool pprof). Every output file is
 // created up front, so a bad path fails before the simulation runs
 // rather than after. -engine selects the execution engine (block,
 // decoded or legacy); all three are cycle-exact, they differ only in
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -60,10 +62,11 @@ func main() {
 	timelineOut := flag.String("timeline-out", "", "write the interval telemetry timeline to this file (.json = JSON, else CSV; - = stdout)")
 	timelineEvery := flag.Uint64("timeline-every", 4096, "telemetry timeline interval in simulated cycles")
 	metricsOut := flag.String("metrics-out", "", "write run counters (cycles, instructions, stalls by reason) and wall time in /metrics text format to this file (- = stdout)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the whole run to this file")
 	jf := job.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cyclops-sim "+job.Usage+" [-max N] [-balanced] [-stats] [-stats-json F] [-trace N] [-trace-out F] [-profile-out F] [-sample-every N] [-timeline-out F] [-timeline-every N] [-metrics-out F] prog.{s,cyc}")
+		fmt.Fprintln(os.Stderr, "usage: cyclops-sim "+job.Usage+" [-max N] [-balanced] [-stats] [-stats-json F] [-trace N] [-trace-out F] [-profile-out F] [-sample-every N] [-timeline-out F] [-timeline-every N] [-metrics-out F] [-cpuprofile F] prog.{s,cyc}")
 		os.Exit(2)
 	}
 	eng, pol, lat, err := jf.Resolve()
@@ -76,8 +79,8 @@ func main() {
 		statsJSON: *statsJSON, trace: *trace, traceOut: *traceOut,
 		profileOut: *profileOut, sampleEvery: *sampleEvery,
 		timelineOut: *timelineOut, timelineEvery: *timelineEvery,
-		metricsOut: *metricsOut,
-		engine:     eng, policy: pol, lat: lat,
+		metricsOut: *metricsOut, cpuProfile: *cpuProfile,
+		engine: eng, policy: pol, lat: lat,
 	}
 	if err := run(flag.Arg(0), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "cyclops-sim:", err)
@@ -91,7 +94,7 @@ type options struct {
 	statsJSON, traceOut        string
 	trace                      int
 	profileOut, timelineOut    string
-	metricsOut                 string
+	metricsOut, cpuProfile     string
 	sampleEvery, timelineEvery uint64
 	engine                     sim.Engine
 	policy                     sim.Policy
@@ -102,7 +105,7 @@ type options struct {
 // enough to hold every issue of a typical run, small enough to stay cheap.
 const traceBufferLen = 1 << 20
 
-func run(path string, o options) error {
+func run(path string, o options) (err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -139,6 +142,19 @@ func run(path string, o options) error {
 	if err != nil {
 		return err
 	}
+	outCPU, err := createOut(o.cpuProfile)
+	if err != nil {
+		return err
+	}
+	stopCPU, err := outCPU.startCPUProfile()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stopCPU(); err == nil {
+			err = serr
+		}
+	}()
 
 	chip := core.MustNew(o.lat.Apply(arch.Default()))
 	k := kernel.New(chip)
@@ -277,6 +293,27 @@ func (o *outFile) emit(fn func(io.Writer) error) error {
 		return fmt.Errorf("writing %s: %w", o.path, err)
 	}
 	return nil
+}
+
+// startCPUProfile profiles the host CPU into o (nil = off) and returns
+// the function that stops the profile and closes the file.
+func (o *outFile) startCPUProfile() (stop func() error, err error) {
+	if o == nil {
+		return func() error { return nil }, nil
+	}
+	if o.f == os.Stdout {
+		return nil, fmt.Errorf("-cpuprofile needs a file, not stdout")
+	}
+	if err := pprof.StartCPUProfile(o.f); err != nil {
+		o.f.Close()
+		return nil, err
+	}
+	return func() error {
+		return o.emit(func(io.Writer) error {
+			pprof.StopCPUProfile()
+			return nil
+		})
+	}, nil
 }
 
 func printStats(m *sim.Machine, chip *core.Chip) {

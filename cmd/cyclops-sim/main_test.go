@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -94,6 +95,7 @@ func TestOutputFilesCreatedUpFront(t *testing.T) {
 		{"trace-out", options{maxCycles: 100000, traceOut: bad}},
 		{"profile-out", options{maxCycles: 100000, profileOut: bad, sampleEvery: 64}},
 		{"timeline-out", options{maxCycles: 100000, timelineOut: bad, timelineEvery: 64}},
+		{"cpuprofile", options{maxCycles: 100000, cpuProfile: bad}},
 	}
 	for _, f := range fields {
 		if !obs.Enabled && (f.name == "profile-out" || f.name == "timeline-out") {
@@ -191,4 +193,40 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestCPUProfileStoppedOnEveryPath checks -cpuprofile writes a gzipped
+// pprof file both when the run succeeds and when it fails; a profile
+// left running would make the next start fail.
+func TestCPUProfileStoppedOnEveryPath(t *testing.T) {
+	dir := t.TempDir()
+	hello := filepath.Join(dir, "hello.s")
+	spin := filepath.Join(dir, "spin.s")
+	if err := os.WriteFile(hello, []byte(helloSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spin, []byte("x:\tb x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		src     string
+		wantErr bool
+	}{{hello, false}, {spin, true}, {hello, false}} {
+		out := filepath.Join(dir, fmt.Sprintf("cpu%d.pprof", i))
+		err := run(c.src, options{maxCycles: 2000, cpuProfile: out})
+		if (err != nil) != c.wantErr {
+			t.Fatalf("run %d: err = %v, want error %v", i, err, c.wantErr)
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gzip.NewReader(f); err != nil {
+			t.Errorf("run %d: profile is not gzipped pprof: %v", i, err)
+		}
+		f.Close()
+	}
+	if err := run(hello, options{maxCycles: 2000, cpuProfile: "-"}); err == nil {
+		t.Error("-cpuprofile to stdout accepted")
+	}
 }

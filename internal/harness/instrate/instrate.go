@@ -1,6 +1,7 @@
 // Package instrate measures the simulator's host-side instruction rate
-// (simMIPS) per execution engine, using the same tight arithmetic loop
-// as BenchmarkSimInstructionRate. cmd/cyclops-bench exposes it as
+// (simMIPS) per execution engine on two rungs: R0, the same tight
+// arithmetic loop as BenchmarkSimInstructionRate (solo dispatch), and
+// R1, a 126-thread STREAM point (the scheduler). cmd/cyclops-bench exposes it as
 // -instrate; the CI bench-smoke lane uses it as a regression and
 // equivalence gate. Results append to BENCH_sim.json, whose entries
 // record the engine trajectory across PRs.
@@ -21,6 +22,7 @@ import (
 	"cyclops/internal/core"
 	"cyclops/internal/kernel"
 	"cyclops/internal/sim"
+	"cyclops/internal/stream"
 )
 
 // loopSrc is the measured workload: the BenchmarkSimInstructionRate
@@ -35,6 +37,12 @@ loop:	addi r8, r8, -1
 	halt
 	`
 
+// schedParams is the scheduler rung (R1): fig5a's small-scale Copy, one
+// in-cache STREAM blocked over 126 threads. Nearly every scheduler
+// iteration issues many units at once, so the scheduler — not block
+// dispatch — dominates its host time.
+var schedParams = stream.Params{Kernel: stream.Copy, Threads: 126, N: 104 * 126, Reps: 2}
+
 // Result is one engine's measurement: the median of the per-sample
 // rates, plus the simulated totals every engine must agree on.
 type Result struct {
@@ -43,6 +51,9 @@ type Result struct {
 	NsPerRun uint64  // median wall time of one boot+run
 	Cycles   uint64  // simulated cycles (engine-invariant)
 	Insts    uint64  // simulated instructions (engine-invariant)
+	// Ns is each sample's wall time, in sample order; samples of
+	// different engines interleave, so equal indices ran back to back.
+	Ns []uint64
 }
 
 // Measure runs the loop program `samples` times on every engine and
@@ -50,19 +61,63 @@ type Result struct {
 // engine disagrees on simulated cycles or instructions — the
 // equivalence contract, checked on every benchmark run.
 func Measure(samples int) ([]Result, error) {
-	if samples < 1 {
-		samples = 1
-	}
 	prog, err := asm.Assemble(loopSrc)
 	if err != nil {
 		return nil, err
 	}
-	var results []Result
-	for _, e := range sim.Engines() {
-		rates := make([]float64, 0, samples)
-		times := make([]uint64, 0, samples)
-		var cycles, insts uint64
-		for s := 0; s < samples; s++ {
+	return measure(prog, samples, sim.Engines())
+}
+
+// MeasureSched runs the scheduler rung `samples` times on the block and
+// legacy engines, with Measure's equivalence check. The legacy engine's
+// O(active) scan is the fixed reference the block engine's scheduler is
+// timed against.
+func MeasureSched(samples int) ([]Result, error) {
+	src, err := stream.Generate(schedParams)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		return nil, err
+	}
+	return measure(prog, samples, []sim.Engine{sim.EngineBlock, sim.EngineLegacy})
+}
+
+// SchedSpeedup is the scheduler rung's host-robust figure: legacy host
+// time over block host time, the median over samples of each
+// back-to-back pair, so host load that drifts between samples cancels.
+func SchedSpeedup(results []Result) float64 {
+	var block, legacy []uint64
+	for _, r := range results {
+		switch r.Engine {
+		case sim.EngineBlock:
+			block = r.Ns
+		case sim.EngineLegacy:
+			legacy = r.Ns
+		}
+	}
+	if len(block) == 0 || len(block) != len(legacy) {
+		return 0
+	}
+	ratios := make([]float64, len(block))
+	for i := range block {
+		ratios[i] = float64(legacy[i]) / float64(block[i])
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2]
+}
+
+// measure boots prog under the kernel `samples` times per engine, the
+// engines interleaved sample by sample, and returns per-engine medians,
+// erroring on any cycle/instruction mismatch.
+func measure(prog *asm.Program, samples int, engines []sim.Engine) ([]Result, error) {
+	if samples < 1 {
+		samples = 1
+	}
+	results := make([]Result, len(engines))
+	for s := 0; s < samples; s++ {
+		for i, e := range engines {
 			chip, err := core.NewChip(arch.Default())
 			if err != nil {
 				return nil, err
@@ -78,20 +133,17 @@ func Measure(samples int) ([]Result, error) {
 				return nil, err
 			}
 			elapsed := time.Since(t0)
-			cycles = k.Machine().Cycle()
-			insts = k.Machine().TotalInsts()
-			rates = append(rates, float64(insts)/elapsed.Seconds()/1e6)
-			times = append(times, uint64(elapsed.Nanoseconds()))
+			r := &results[i]
+			r.Engine, r.Cycles, r.Insts = e, k.Machine().Cycle(), k.Machine().TotalInsts()
+			r.Ns = append(r.Ns, uint64(elapsed.Nanoseconds()))
 		}
-		sort.Float64s(rates)
+	}
+	for i := range results {
+		r := &results[i]
+		times := append([]uint64(nil), r.Ns...)
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		results = append(results, Result{
-			Engine:   e,
-			SimMIPS:  rates[len(rates)/2],
-			NsPerRun: times[len(times)/2],
-			Cycles:   cycles,
-			Insts:    insts,
-		})
+		r.NsPerRun = times[len(times)/2]
+		r.SimMIPS = float64(r.Insts) / (float64(r.NsPerRun) / 1e9) / 1e6
 	}
 	for _, r := range results[1:] {
 		if r.Cycles != results[0].Cycles || r.Insts != results[0].Insts {
@@ -119,7 +171,15 @@ type Entry struct {
 	Samples               int             `json:"samples,omitempty"`
 	Engines               map[string]Rate `json:"engines"`
 	SpeedupBlockVsDecoded float64         `json:"speedup_block_vs_decoded,omitempty"`
-	Note                  string          `json:"note,omitempty"`
+	// EnginesBefore holds R0 rates of the preceding commit measured on
+	// the same host, for entries that show the solo path did not move.
+	EnginesBefore map[string]Rate `json:"engines_before,omitempty"`
+	// Sched records the scheduler rung (MeasureSched) per engine, and
+	// SpeedupSchedBlockVsLegacy its SchedSpeedup: the figure the
+	// bench-smoke lane gates.
+	Sched                     map[string]Rate `json:"sched,omitempty"`
+	SpeedupSchedBlockVsLegacy float64         `json:"speedup_sched_block_vs_legacy,omitempty"`
+	Note                      string          `json:"note,omitempty"`
 }
 
 // File is the BENCH_sim.json schema: fixed metadata plus the
@@ -178,18 +238,22 @@ func (f *File) Save(path string) error {
 	return nil
 }
 
-// NewEntry converts a measurement into a trajectory entry.
-func NewEntry(id string, samples int, results []Result) Entry {
+// NewEntry converts the R0 measurement and, when non-empty, the
+// scheduler rung's into a trajectory entry.
+func NewEntry(id string, samples int, results, sched []Result) Entry {
 	e := Entry{
 		ID:      id,
 		HostCPU: hostCPU(),
 		Go:      runtime.Version(),
 		Samples: samples,
-		Engines: make(map[string]Rate, len(results)),
+		Engines: rates(results),
+	}
+	if len(sched) > 0 {
+		e.Sched = rates(sched)
+		e.SpeedupSchedBlockVsLegacy = round2(SchedSpeedup(sched))
 	}
 	var block, decoded float64
 	for _, r := range results {
-		e.Engines[r.Engine.String()] = Rate{SimMIPS: round2(r.SimMIPS), NsPerRun: r.NsPerRun}
 		switch r.Engine {
 		case sim.EngineBlock:
 			block = r.SimMIPS
@@ -201,6 +265,15 @@ func NewEntry(id string, samples int, results []Result) Entry {
 		e.SpeedupBlockVsDecoded = round2(block / decoded)
 	}
 	return e
+}
+
+// rates converts results into their recorded per-engine form.
+func rates(results []Result) map[string]Rate {
+	m := make(map[string]Rate, len(results))
+	for _, r := range results {
+		m[r.Engine.String()] = Rate{SimMIPS: round2(r.SimMIPS), NsPerRun: r.NsPerRun}
+	}
+	return m
 }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"cyclops/internal/arch"
 	"cyclops/internal/isa"
 	"cyclops/internal/obs"
@@ -34,8 +32,8 @@ import (
 //     the per-issue engines would. Each issue attempt replicates one
 //     scheduler iteration: inline continuation advances m.cycle, bumps
 //     the round-robin counter and ticks the timeline exactly as a trip
-//     through Run's outer loop would, and is only taken when the event
-//     queue proves no other unit is due first.
+//     through Run's outer loop would, and is only taken when the
+//     calendar's minimum proves no other unit is due first.
 //   - Multi-unit batches fall back to one issue per unit per cycle, the
 //     decoded engine's exact regime, so contention, tie order and
 //     compaction are untouched.
@@ -84,61 +82,9 @@ type simBlock struct {
 // enters the next block.
 const maxBlockOps = 256
 
-// runBlock is the block engine's scheduler: the decoded engine's
-// event-driven loop, with stepBlock in place of step. A batch of one —
-// the steady state of any single-thread phase — lifts the issue limit so
-// stepBlock runs whole blocks inline; multi-unit batches issue exactly
-// one instruction per unit, preserving contention and tie order
-// bit-for-bit.
-func (m *Machine) runBlock() error {
-	for len(m.active) > 0 && m.trap == nil {
-		// Advance to the earliest pending issue cycle.
-		m.cycle = m.eq.min().nextAt
-		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
-			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
-		}
-		m.tickTimeline()
-		m.batch = m.batch[:0]
-		for m.eq.Len() > 0 && m.eq.min().nextAt == m.cycle {
-			m.batch = append(m.batch, m.eq.pop())
-		}
-		n := len(m.active)
-		m.rr++
-		m.sortBatch(n)
-		limit := m.cycle
-		if len(m.batch) == 1 && m.polInline {
-			// A lone ready unit may run unboundedly inline — but only when
-			// the issue policy certifies its timing flows entirely through
-			// ledger charges and resume times (InlineOK).
-			limit = ^uint64(0)
-		}
-		anyHalted := false
-		for bi, tu := range m.batch {
-			m.stepBlock(tu, limit)
-			if tu.State == Running {
-				m.eq.push(tu)
-			} else {
-				anyHalted = true
-			}
-			if m.trap != nil {
-				// Requeue the units this batch never reached.
-				for _, rest := range m.batch[bi+1:] {
-					m.eq.push(rest)
-				}
-				break
-			}
-		}
-		if anyHalted {
-			m.compact()
-		}
-	}
-	m.finishTimeline()
-	return m.trap
-}
-
 // stepBlock issues instructions for tu starting at the current cycle and
 // continues inline — op after op, block after block — while the issue
-// limit and the event queue allow it. limit is the first cycle the unit
+// limit and the calendar allow it. Run calls it for the block engine. limit is the first cycle the unit
 // may NOT issue at inline (the batch cycle itself when other units
 // issued this cycle; unbounded when the unit is alone).
 func (m *Machine) stepBlock(tu *TU, limit uint64) {
@@ -195,7 +141,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 		if next >= limit {
 			return
 		}
-		if m.eq.Len() > 0 && m.eq.min().nextAt <= next {
+		if m.cal.min <= next {
 			return
 		}
 		if m.MaxCycles > 0 && next > m.MaxCycles {
@@ -218,7 +164,7 @@ func (m *Machine) fuseStep(c2, limit uint64) bool {
 	if c2 >= limit {
 		return false
 	}
-	if m.eq.Len() > 0 && m.eq.min().nextAt <= c2 {
+	if m.cal.min <= c2 {
 		return false
 	}
 	if m.MaxCycles > 0 && c2 > m.MaxCycles {

@@ -19,8 +19,8 @@ const (
 	// thread unit is provably the only one due (see block.go).
 	EngineBlock Engine = iota
 	// EngineDecoded dispatches one decoded-cache entry per issue through
-	// the event-driven min-heap scheduler (the PR 1 engine, kept as the
-	// first-tier oracle).
+	// the calendar scheduler's event-driven loop, one issue per unit per
+	// batch (kept as the first-tier oracle).
 	EngineDecoded
 	// EngineLegacy is the seed interpreter: per-issue fetch+decode and an
 	// O(active) min-scan scheduler. Kept as the root oracle the faster
@@ -79,7 +79,7 @@ func SetDefaultEngine(e Engine) Engine {
 
 // SetEngine selects this machine's engine. Must be called before any
 // thread is started: the legacy scheduler scans the active list while
-// the other tiers pull from the event queue, so switching mid-run would
+// the other tiers pull from the calendar, so switching mid-run would
 // lose queued units.
 func (m *Machine) SetEngine(e Engine) {
 	if len(m.active) > 0 {

@@ -49,9 +49,9 @@ type TU struct {
 
 	pib pibState
 
-	// pos is the unit's index in the machine's active list; the
-	// event-driven scheduler uses it to reproduce the legacy positional
-	// round-robin tie order.
+	// pos is the unit's index in the machine's active list and its bit
+	// in the calendar's slot bitmaps, whose rotated scan reproduces the
+	// legacy positional round-robin tie order. compact renumbers it.
 	pos int
 	// decPage / decPageKey hint the unit's current decode-cache page.
 	decPage    *decPage
@@ -115,10 +115,9 @@ type Machine struct {
 	active []*TU
 	rr     int
 
-	// Event-driven scheduler state: eq orders running units by their next
-	// issue cycle; batch is the reused buffer of units due at the current
-	// cycle.
-	eq    eventQueue
+	// Event-driven scheduler state: cal queues running units by next
+	// issue cycle; batch is the reused buffer of units due this cycle.
+	cal   calendar
 	batch []*TU
 
 	// Decoded-instruction cache (see decode.go).
@@ -159,7 +158,7 @@ type Machine struct {
 // per-machine SetEngine / SetPolicy). Kernel may be nil for programs
 // that make no syscalls.
 func New(chip *core.Chip, kernel Syscaller) *Machine {
-	m := &Machine{Chip: chip, Kernel: kernel, engine: DefaultEngine()}
+	m := &Machine{Chip: chip, Kernel: kernel, engine: DefaultEngine(), cal: newCalendar(chip.Cfg.Threads)}
 	pibWords := uint32(chip.Cfg.PIBEntries * 4)
 	for i := 0; i < chip.Cfg.Threads; i++ {
 		m.TUs = append(m.TUs, &TU{
@@ -259,7 +258,7 @@ func (m *Machine) Start(tid int, pc uint32) error {
 	tu.pos = len(m.active)
 	m.active = append(m.active, tu)
 	if m.engine != EngineLegacy {
-		m.eq.push(tu)
+		m.cal.push(tu, m.cycle)
 	}
 	return nil
 }
@@ -275,87 +274,64 @@ func (m *Machine) Trap(format string, args ...interface{}) {
 // Run executes until every started thread halts, a trap fires, or the
 // cycle limit is hit. It returns the first trap, if any.
 //
-// The decoded engine is event-driven: a min-heap over the units' next
-// issue cycles replaces the legacy per-cycle scan of the whole active
-// list, so cost scales with units actually issuing rather than units
-// merely alive. Tie order is the legacy rotating round-robin over
-// active-list positions, reproduced bit-for-bit (see sortBatch). The
-// block engine (block.go) keeps this scheduler but replaces per-issue
-// dispatch with compiled basic blocks.
+// The decoded and block engines share this event-driven loop: the
+// calendar (sched.go) hands over the batch due at the earliest pending
+// cycle, already in the legacy round-robin order, so cost scales with
+// units issuing rather than units alive. Decoded issues one instruction
+// per unit per batch (step); block runs compiled blocks (stepBlock),
+// inline past the batch cycle while a unit is alone. The legacy engine
+// keeps its own loop as the independent oracle.
 func (m *Machine) Run() error {
-	switch m.engine {
-	case EngineLegacy:
+	if m.engine == EngineLegacy {
 		return m.runLegacy()
-	case EngineBlock:
-		return m.runBlock()
 	}
+	block := m.engine == EngineBlock
 	for len(m.active) > 0 && m.trap == nil {
 		// Advance to the earliest pending issue cycle.
-		m.cycle = m.eq.min().nextAt
+		m.cycle = m.cal.min
 		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
 			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
 		}
 		m.tickTimeline()
-		// Pop every unit due this cycle and issue in round-robin order.
-		// Units started by a syscall during the batch land in the queue
-		// at the current cycle and form their own batch next iteration,
-		// exactly as the legacy engine's captured-length loop behaved.
-		m.batch = m.batch[:0]
-		for m.eq.Len() > 0 && m.eq.min().nextAt == m.cycle {
-			m.batch = append(m.batch, m.eq.pop())
-		}
-		n := len(m.active)
+		// Units started by a syscall during the batch are queued at the
+		// current cycle and form their own batch next iteration, exactly
+		// as the legacy engine's captured-length loop behaved.
 		m.rr++
-		m.sortBatch(n)
+		m.batch = m.cal.pop(m.cycle, m.active, m.rr, m.batch[:0])
+		limit := m.cycle
+		if block && len(m.batch) == 1 && m.polInline {
+			// A lone ready unit may run unboundedly inline — but only when
+			// the issue policy certifies its timing flows entirely through
+			// ledger charges and resume times (InlineOK).
+			limit = ^uint64(0)
+		}
 		anyHalted := false
 		for bi, tu := range m.batch {
-			m.step(tu)
+			if block {
+				m.stepBlock(tu, limit)
+			} else {
+				m.step(tu)
+			}
 			if tu.State == Running {
-				m.eq.push(tu)
+				m.cal.push(tu, m.cycle)
 			} else {
 				anyHalted = true
 			}
 			if m.trap != nil {
 				// Requeue the units this batch never reached.
 				for _, rest := range m.batch[bi+1:] {
-					m.eq.push(rest)
+					m.cal.push(rest, m.cycle)
 				}
 				break
 			}
 		}
 		if anyHalted {
 			m.compact()
+			m.cal.rebuild(m.active, m.cycle)
 		}
 	}
 	m.finishTimeline()
 	return m.trap
-}
-
-// sortBatch orders the due units the way the legacy engine visited them:
-// positions (i+rr)%n over the active list, i ascending. Batches are
-// almost always tiny, so an insertion sort beats sort.Slice here.
-func (m *Machine) sortBatch(n int) {
-	if len(m.batch) < 2 {
-		return
-	}
-	r := m.rr % n
-	key := func(tu *TU) int {
-		k := tu.pos - r
-		if k < 0 {
-			k += n
-		}
-		return k
-	}
-	for i := 1; i < len(m.batch); i++ {
-		tu := m.batch[i]
-		k := key(tu)
-		j := i - 1
-		for j >= 0 && key(m.batch[j]) > k {
-			m.batch[j+1] = m.batch[j]
-			j--
-		}
-		m.batch[j+1] = tu
-	}
 }
 
 // compact removes halted units from the active list, preserving order and
