@@ -1,23 +1,26 @@
 //go:build ignore
 
 // Bench-smoke lane: measures the per-engine instruction rate and gates
-// the block engine's relative speed against the recorded baseline:
+// the block engine's speed relative to the legacy oracle against the
+// recorded baseline:
 //
 //	go run ./ci/bench_smoke.go [BENCH_sim.json]
 //
-// CI hosts vary in absolute speed, so the gate is host-robust: the
-// measured block/decoded ratio must stay within ratioSlack of the
-// ratio recorded in the newest BENCH_sim.json entry that carries both
-// engines. A block-engine regression (say, a fusion pass that stops
-// firing) shows up as a collapsed ratio even on a slow runner. The
-// measurement itself re-checks cross-engine cycle/instruction
-// equivalence, so a timing divergence also fails the lane.
+// CI hosts vary in absolute speed, so both gates are host-robust ratios
+// of the block engine over the legacy engine, whose code is frozen and
+// so makes a steady denominator. Each measured ratio must stay within
+// ratioSlack of the one recorded in the newest BENCH_sim.json entry
+// that carries it. The measurement itself re-checks cross-engine
+// cycle/instruction equivalence, so a timing divergence also fails the
+// lane.
 //
-// A second gate covers the scheduler rung: a 126-thread in-cache STREAM
-// point on the block and legacy engines. Its legacy/block host-time
-// ratio must stay within ratioSlack of the newest recorded one, so a
-// scheduler regression fails the lane even though the solo loop never
-// queues a second unit.
+//   - R0, the solo dispatch loop: block/legacy simMIPS. A block-engine
+//     regression (say, a fusion pass that stops firing) shows up as a
+//     collapsed ratio even on a slow runner.
+//   - R1, the scheduler rung: a 126-thread in-cache STREAM point. Its
+//     legacy/block host-time ratio catches a scheduler regression, which
+//     the solo loop never exercises because it never queues a second
+//     unit.
 package main
 
 import (
@@ -29,9 +32,9 @@ import (
 	"cyclops/internal/sim"
 )
 
-// ratioSlack is the fraction of the recorded block/decoded ratio the
+// ratioSlack is the fraction of a recorded block/legacy ratio the
 // measured ratio may lose before the lane fails (0.8 = a >20%
-// regression fails, per the PR's acceptance bar).
+// regression fails).
 const ratioSlack = 0.8
 
 // samples per engine; medians absorb scheduler noise on shared runners.
@@ -48,30 +51,19 @@ func main() {
 	if len(os.Args) > 1 {
 		path = os.Args[1]
 	}
-
-	baseline, id := recordedRatio(path)
-	log.Printf("baseline %s: block/decoded = %.2f (gate: >= %.2f)", id, baseline, ratioSlack*baseline)
+	f, err := instrate.Load(path)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	results, err := instrate.Measure(samples)
 	if err != nil {
 		log.Fatal(err) // includes cross-engine equivalence breaks
 	}
-	rates := map[sim.Engine]float64{}
 	fmt.Println("engine     simMIPS   ns/run")
 	for _, r := range results {
 		fmt.Printf("%-8s  %8.2f  %8d\n", r.Engine, r.SimMIPS, r.NsPerRun)
-		rates[r.Engine] = r.SimMIPS
 	}
-
-	ratio := rates[sim.EngineBlock] / rates[sim.EngineDecoded]
-	log.Printf("measured block/decoded = %.2f", ratio)
-	if ratio < ratioSlack*baseline {
-		log.Fatalf("block engine regressed: measured ratio %.2f < %.2f (%.0f%% of recorded %.2f)",
-			ratio, ratioSlack*baseline, 100*ratioSlack, baseline)
-	}
-
-	schedBase, schedID := recordedSchedSpeedup(path)
-	log.Printf("baseline %s: scheduler rung block/legacy = %.2f (gate: >= %.2f)", schedID, schedBase, ratioSlack*schedBase)
 	sched, err := instrate.MeasureSched(schedSamples)
 	if err != nil {
 		log.Fatal(err) // includes cross-engine equivalence breaks
@@ -80,47 +72,46 @@ func main() {
 	for _, r := range sched {
 		fmt.Printf("%-8s  %8.2f  %8d\n", r.Engine, r.SimMIPS, r.NsPerRun)
 	}
-	schedRatio := instrate.SchedSpeedup(sched)
-	log.Printf("measured scheduler rung block/legacy = %.2f", schedRatio)
-	if schedRatio < ratioSlack*schedBase {
-		log.Fatalf("scheduler regressed: measured ratio %.2f < %.2f (%.0f%% of recorded %.2f)",
-			schedRatio, ratioSlack*schedBase, 100*ratioSlack, schedBase)
-	}
+
+	// The measurement, shaped like a trajectory entry, reads through the
+	// same ratio functions as the recorded baselines.
+	measured := instrate.NewEntry("measured", samples, results, sched)
+	gate(f, "R0 solo loop", soloSpeedup, measured)
+	gate(f, "R1 scheduler rung", schedSpeedup, measured)
 	log.Print("ok")
 }
 
-// recordedSchedSpeedup returns the scheduler rung's block/legacy
-// speedup from the newest trajectory entry recording it, and that
-// entry's id.
-func recordedSchedSpeedup(path string) (float64, string) {
-	f, err := instrate.Load(path)
-	if err != nil {
-		log.Fatal(err)
+// soloSpeedup is an entry's R0 block/legacy simMIPS ratio, 0 when the
+// entry lacks either engine.
+func soloSpeedup(e instrate.Entry) float64 {
+	b, l := e.Engines[sim.EngineBlock.String()], e.Engines[sim.EngineLegacy.String()]
+	if b.SimMIPS == 0 || l.SimMIPS == 0 {
+		return 0
 	}
-	for i := len(f.Entries) - 1; i >= 0; i-- {
-		if e := f.Entries[i]; e.SpeedupSchedBlockVsLegacy > 0 {
-			return e.SpeedupSchedBlockVsLegacy, e.ID
-		}
-	}
-	log.Fatalf("%s: no entry records the scheduler rung", path)
-	return 0, ""
+	return b.SimMIPS / l.SimMIPS
 }
 
-// recordedRatio returns the block/decoded speedup of the newest
-// trajectory entry measuring both engines, and that entry's id.
-func recordedRatio(path string) (float64, string) {
-	f, err := instrate.Load(path)
-	if err != nil {
-		log.Fatal(err)
-	}
+// schedSpeedup is an entry's recorded R1 block/legacy speedup, 0 when
+// the entry predates the rung.
+func schedSpeedup(e instrate.Entry) float64 { return e.SpeedupSchedBlockVsLegacy }
+
+// gate reads one block/legacy ratio from the measurement and from the
+// newest trajectory entry that records it, and fails the lane when the
+// measured ratio lost more than the slack.
+func gate(f *instrate.File, rung string, ratio func(instrate.Entry) float64, m instrate.Entry) {
+	measured := ratio(m)
 	for i := len(f.Entries) - 1; i >= 0; i-- {
-		e := f.Entries[i]
-		b, okB := e.Engines[sim.EngineBlock.String()]
-		d, okD := e.Engines[sim.EngineDecoded.String()]
-		if okB && okD && d.SimMIPS > 0 {
-			return b.SimMIPS / d.SimMIPS, e.ID
+		base := ratio(f.Entries[i])
+		if base == 0 {
+			continue
 		}
+		log.Printf("%s: block/legacy measured %.2f, baseline %s %.2f (gate: >= %.2f)",
+			rung, measured, f.Entries[i].ID, base, ratioSlack*base)
+		if measured < ratioSlack*base {
+			log.Fatalf("%s regressed: measured ratio %.2f < %.2f (%.0f%% of recorded %.2f)",
+				rung, measured, ratioSlack*base, 100*ratioSlack, base)
+		}
+		return
 	}
-	log.Fatalf("%s: no entry records both block and decoded engines", path)
-	return 0, ""
+	log.Fatalf("no trajectory entry records the %s", rung)
 }

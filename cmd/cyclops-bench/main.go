@@ -8,17 +8,17 @@
 //	cyclops-bench -all -scale full [-parallel N]
 //	cyclops-bench -run fig4a -trace-runs trace.json -metrics-out metrics.txt
 //	cyclops-bench -instrate [-samples N] [-bench-json BENCH_sim.json -bench-id pr6]
-//	cyclops-bench -run fig5a -engine decoded -cpuprofile cpu.pprof
+//	cyclops-bench -run fig5a -engine legacy -cpuprofile cpu.pprof
 //
 // Every experiment point is an independent deterministic simulation, so
 // the sweeps fan out across -parallel workers (default: all CPUs) and the
 // experiments themselves run concurrently. Tables print to stdout in
 // input order and are byte-identical for any -parallel value — and for
-// any -engine, which selects the execution engine (block, decoded or
-// legacy) the sweeps simulate on; the engines differ only in host-side
-// speed. -policy/-switch-penalty select the default issue policy and
-// -lat the default latency model for every sweep (the scenario matrix
-// experiment varies both per point regardless). -cache-dir points the
+// any -engine, which selects the execution engine (block or legacy) the
+// sweeps simulate on; the engines differ only in host-side speed.
+// -policy/-switch-penalty select the default issue policy and -lat the
+// default latency model for every sweep (the scenario matrix experiment
+// varies both per point regardless). -cache-dir points the
 // sweeps at a content-addressed result cache directory (created on
 // first use): warm entries skip simulation entirely, so a repeated
 // -run renders the same bytes from cache alone, and the directory is
@@ -30,11 +30,10 @@
 // format cyclops-serve's /metrics speaks. Both files are created up
 // front and tracing stays off — and free — unless asked for.
 // -cpuprofile writes a pprof CPU profile of the whole host process.
-// -instrate measures
-// exactly the engines' host-side difference: the median
-// simulated-MIPS of each engine on a dispatch-bound loop, appendable as
-// one entry of the BENCH_sim.json trajectory. Timing and errors go to
-// stderr.
+// -instrate measures exactly the engines' host-side difference: the
+// median simulated-MIPS of each engine on a dispatch-bound loop and on a
+// 126-thread scheduler-bound STREAM point, appendable as one entry of
+// the BENCH_sim.json trajectory. Timing and errors go to stderr.
 package main
 
 import (
@@ -51,6 +50,7 @@ import (
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job"
 	"cyclops/internal/obs"
+	"cyclops/internal/outfile"
 	"cyclops/internal/resultcache"
 )
 
@@ -61,7 +61,11 @@ type result struct {
 	elapsed time.Duration
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status so the deferred
+// CPU-profile stop runs on every path.
+func run() (code int) {
 	list := flag.Bool("list", false, "list available experiments")
 	runIDs := flag.String("run", "", "comma-separated experiment ids")
 	all := flag.Bool("all", false, "run every experiment")
@@ -82,27 +86,32 @@ func main() {
 	flag.Parse()
 
 	// The profile file is created up front like every other output, and
-	// the profile covers the whole run; exit flushes it on every path.
-	outCPU, err := createOut(*cpuProfile)
+	// the profile covers the whole run, stopped on every return path.
+	outCPU, err := outfile.Create(*cpuProfile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if err := startCPUProfile(outCPU); err != nil {
-		fatal(err)
+	stopCPU, err := outCPU.StartCPUProfile()
+	if err != nil {
+		return fail(err)
 	}
-	defer func() { stopCPUProfile() }()
+	defer func() {
+		if err := stopCPU(); err != nil {
+			code = fail(err)
+		}
+	}()
 
 	// Workloads build their chips from the process defaults deep inside
 	// the experiment points; installing the selections reaches them all.
 	// The matrix experiment's own points pass explicit configurations
 	// and are unaffected.
 	if err := jf.InstallDefaults(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *cacheDir != "" {
 		c, err := resultcache.Open(*cacheDir, job.SemanticsVersion, 0)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		harness.UseCache(c)
 	}
@@ -111,13 +120,13 @@ func main() {
 	// path must fail before hours of sweeps, not after. Tracing stays off
 	// — and free — unless asked for; -metrics-out implies it because the
 	// stage histograms are fed from span durations.
-	outTrace, err := createOut(*traceRuns)
+	outTrace, err := outfile.Create(*traceRuns)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	outMetrics, err := createOut(*metricsOut)
+	outMetrics, err := outfile.Create(*metricsOut)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if outTrace != nil {
 		harness.Runner.Tracer = obs.NewTracer(benchTraceCapacity)
@@ -127,42 +136,44 @@ func main() {
 		metrics = obs.NewMetrics()
 		harness.Runner.Instrument(metrics)
 	}
-	flushTelemetry := func() {
-		if err := outTrace.emit(func(w io.Writer) error {
+	flushTelemetry := func() error {
+		if err := outTrace.Emit(func(w io.Writer) error {
 			tr := harness.Runner.Tracer
 			if n := tr.Dropped(); n > 0 {
 				fmt.Fprintf(os.Stderr, "cyclops-bench: trace ring overflowed, oldest %d spans dropped\n", n)
 			}
 			return obs.WriteSpansChrome(w, tr.Snapshot())
 		}); err != nil {
-			fatal(err)
+			return err
 		}
-		if err := outMetrics.emit(metrics.WriteText); err != nil {
-			fatal(err)
-		}
+		return outMetrics.Emit(metrics.WriteText)
 	}
 
 	if *instrate {
 		if *benchJSON != "" && *benchID == "" {
-			fatal(fmt.Errorf("-bench-json needs -bench-id to tag the appended entry"))
+			return fail(fmt.Errorf("-bench-json needs -bench-id to tag the appended entry"))
 		}
 		if err := runInstrate(*samples, *benchJSON, *benchID, *benchNote); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		flushTelemetry()
-		return
+		if err := flushTelemetry(); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	if *list {
 		for _, e := range harness.Experiments() {
 			fmt.Printf("%-13s %s\n", e.ID, e.Brief)
 		}
-		flushTelemetry()
-		return
+		if err := flushTelemetry(); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	scale, err := harness.ParseScale(*scaleStr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	sweep.SetWorkers(*parallel)
 	var exps []harness.Experiment
@@ -173,7 +184,7 @@ func main() {
 		for _, id := range strings.Split(*runIDs, ",") {
 			e, ok := harness.Lookup(strings.TrimSpace(id))
 			if !ok {
-				fatal(fmt.Errorf("unknown experiment %q (try -list)", id))
+				return fail(fmt.Errorf("unknown experiment %q (try -list)", id))
 			}
 			exps = append(exps, e)
 		}
@@ -182,7 +193,7 @@ func main() {
 		exps = append(exps, e)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all | -stats  [-scale small|full] [-csv dir] [-parallel N] [-cpuprofile F]")
-		exit(2)
+		return 2
 	}
 
 	start := time.Now()
@@ -201,20 +212,23 @@ func main() {
 		r.tab.Fprint(os.Stdout)
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			path := filepath.Join(*csvDir, e.ID+".csv")
 			if err := os.WriteFile(path, []byte(r.tab.CSV()), 0o644); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 	}
 	fmt.Fprintf(os.Stderr, "cyclops-bench: %d/%d experiments in %.2fs (%d workers)\n",
 		len(exps)-failed, len(exps), time.Since(start).Seconds(), sweep.Workers())
-	flushTelemetry()
-	if failed > 0 {
-		exit(1)
+	if err := flushTelemetry(); err != nil {
+		return fail(err)
 	}
+	if failed > 0 {
+		return 1
+	}
+	return 0
 }
 
 // benchTraceCapacity sizes the -trace-runs span ring: a full -all sweep
@@ -252,7 +266,8 @@ func runExperiments(exps []harness.Experiment, scale harness.Scale, concurrent b
 	return results
 }
 
-func fatal(err error) {
+// fail reports err and returns the failure exit status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "cyclops-bench:", err)
-	exit(1)
+	return 1
 }

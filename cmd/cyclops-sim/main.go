@@ -20,12 +20,12 @@
 // /metrics endpoint speaks. -cpuprofile writes a pprof CPU profile of
 // the simulator host process itself (go tool pprof). Every output file is
 // created up front, so a bad path fails before the simulation runs
-// rather than after. -engine selects the execution engine (block,
-// decoded or legacy); all three are cycle-exact, they differ only in
-// host-side speed. -policy selects the issue policy (fine, blocked or
-// switchmiss) with -switch-penalty cycles per context switch, and -lat
-// sweeps the Table 2 latencies ("miss=48,rmiss=72"); every engine
-// honors any (policy, latency) point identically.
+// rather than after. -engine selects the execution engine (block or
+// legacy); both are cycle-exact, they differ only in host-side speed.
+// -policy selects the issue policy (fine, blocked or switchmiss) with
+// -switch-penalty cycles per context switch, and -lat sweeps the Table 2
+// latencies ("miss=48,rmiss=72"); both engines honor any (policy,
+// latency) point identically.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -44,6 +43,7 @@ import (
 	"cyclops/internal/job"
 	"cyclops/internal/kernel"
 	"cyclops/internal/obs"
+	"cyclops/internal/outfile"
 	"cyclops/internal/prof"
 	"cyclops/internal/sim"
 	"cyclops/internal/timing"
@@ -122,31 +122,31 @@ func run(path string, o options) (err error) {
 
 	// Create every requested output up front: a bad path must fail
 	// before the simulation runs, not lose the results after it.
-	outStats, err := createOut(o.statsJSON)
+	outStats, err := outfile.Create(o.statsJSON)
 	if err != nil {
 		return err
 	}
-	outTrace, err := createOut(o.traceOut)
+	outTrace, err := outfile.Create(o.traceOut)
 	if err != nil {
 		return err
 	}
-	outProfile, err := createOut(o.profileOut)
+	outProfile, err := outfile.Create(o.profileOut)
 	if err != nil {
 		return err
 	}
-	outTimeline, err := createOut(o.timelineOut)
+	outTimeline, err := outfile.Create(o.timelineOut)
 	if err != nil {
 		return err
 	}
-	outMetrics, err := createOut(o.metricsOut)
+	outMetrics, err := outfile.Create(o.metricsOut)
 	if err != nil {
 		return err
 	}
-	outCPU, err := createOut(o.cpuProfile)
+	outCPU, err := outfile.Create(o.cpuProfile)
 	if err != nil {
 		return err
 	}
-	stopCPU, err := outCPU.startCPUProfile()
+	stopCPU, err := outCPU.StartCPUProfile()
 	if err != nil {
 		return err
 	}
@@ -209,20 +209,20 @@ func run(path string, o options) (err error) {
 		fmt.Printf("profile: %d samples every %d cycles\n", pr.TotalSamples(), pr.Interval)
 		pr.Report(prog).WriteText(os.Stdout, 10)
 	}
-	if err := outStats.emit(func(w io.Writer) error {
+	if err := outStats.Emit(func(w io.Writer) error {
 		return k.Machine().Snapshot().WriteJSON(w)
 	}); err != nil {
 		return err
 	}
-	if err := outTrace.emit(k.Machine().ChromeTrace); err != nil {
+	if err := outTrace.Emit(k.Machine().ChromeTrace); err != nil {
 		return err
 	}
-	if err := outProfile.emit(func(w io.Writer) error {
+	if err := outProfile.Emit(func(w io.Writer) error {
 		return pr.WritePprof(w, prog)
 	}); err != nil {
 		return err
 	}
-	if err := outTimeline.emit(func(w io.Writer) error {
+	if err := outTimeline.Emit(func(w io.Writer) error {
 		if strings.HasSuffix(o.timelineOut, ".json") {
 			return tl.WriteJSON(w)
 		}
@@ -230,7 +230,7 @@ func run(path string, o options) (err error) {
 	}); err != nil {
 		return err
 	}
-	if err := outMetrics.emit(func(w io.Writer) error {
+	if err := outMetrics.Emit(func(w io.Writer) error {
 		return writeRunMetrics(w, k.Machine(), wall)
 	}); err != nil {
 		return err
@@ -252,68 +252,6 @@ func writeRunMetrics(w io.Writer, m *sim.Machine, wall time.Duration) error {
 	}
 	reg.Histogram("sim_wall_seconds").Observe(wall)
 	return reg.WriteText(w)
-}
-
-// outFile is a pre-created output destination ("-" = stdout, nil = off).
-type outFile struct {
-	path string
-	f    *os.File
-}
-
-// createOut creates (truncating) the named output file immediately, so
-// an unwritable path fails before the run instead of discarding its
-// results afterwards.
-func createOut(path string) (*outFile, error) {
-	if path == "" {
-		return nil, nil
-	}
-	if path == "-" {
-		return &outFile{path: path, f: os.Stdout}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("cannot create output file: %w", err)
-	}
-	return &outFile{path: path, f: f}, nil
-}
-
-// emit streams the output and closes the file; a nil receiver is off.
-func (o *outFile) emit(fn func(io.Writer) error) error {
-	if o == nil {
-		return nil
-	}
-	if o.f == os.Stdout {
-		return fn(o.f)
-	}
-	if err := fn(o.f); err != nil {
-		o.f.Close()
-		return fmt.Errorf("writing %s: %w", o.path, err)
-	}
-	if err := o.f.Close(); err != nil {
-		return fmt.Errorf("writing %s: %w", o.path, err)
-	}
-	return nil
-}
-
-// startCPUProfile profiles the host CPU into o (nil = off) and returns
-// the function that stops the profile and closes the file.
-func (o *outFile) startCPUProfile() (stop func() error, err error) {
-	if o == nil {
-		return func() error { return nil }, nil
-	}
-	if o.f == os.Stdout {
-		return nil, fmt.Errorf("-cpuprofile needs a file, not stdout")
-	}
-	if err := pprof.StartCPUProfile(o.f); err != nil {
-		o.f.Close()
-		return nil, err
-	}
-	return func() error {
-		return o.emit(func(io.Writer) error {
-			pprof.StopCPUProfile()
-			return nil
-		})
-	}, nil
 }
 
 func printStats(m *sim.Machine, chip *core.Chip) {

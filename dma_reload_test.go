@@ -35,8 +35,8 @@ out:	.word 0
 `
 
 // TestEngineDMAReloadInvalidation checks that an off-chip DMA landing on
-// executed text invalidates cached decodings and compiled blocks on
-// every engine. This is code overlay / out-of-core reload, the second
+// executed text invalidates compiled blocks, and that both engines run
+// the reloaded code. This is code overlay / out-of-core reload, the second
 // writer (besides guest stores) behind mem.WatchCode's generation
 // counter.
 func TestEngineDMAReloadInvalidation(t *testing.T) {

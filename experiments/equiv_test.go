@@ -26,25 +26,26 @@ func render(t *testing.T) map[string]string {
 	return out
 }
 
-// TestEngineEquivalence checks that all three execution engines — the
-// seed interpreter, the decoded-cache event-driven engine, and the
-// block-compiling engine — produce byte-identical tables for every
-// experiment. This is the contract that lets the fast tiers replace the
-// original: same cycle counts, same stats, same rendered output.
+// TestEngineEquivalence checks that the legacy seed interpreter and the
+// block-compiling engine produce byte-identical tables for every
+// experiment. This is the contract that lets the fast engine replace the
+// original: same cycle counts, same stats, same rendered output. Both
+// renders take the wide sweep pool; TestSweepWorkerEquivalence checks
+// that the pool size does not matter.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment once per engine")
 	}
-	prev := sim.SetDefaultEngine(sim.EngineLegacy)
-	defer sim.SetDefaultEngine(prev)
+	defer sim.SetDefaultEngine(sim.DefaultEngine())
+	defer sweep.SetWorkers(sweep.Workers())
+	sweep.SetWorkers(8)
+	sim.SetDefaultEngine(sim.EngineLegacy)
 	legacy := render(t)
-	for _, e := range []sim.Engine{sim.EngineDecoded, sim.EngineBlock} {
-		sim.SetDefaultEngine(e)
-		fast := render(t)
-		for id, want := range legacy {
-			if got := fast[id]; got != want {
-				t.Errorf("%s: %s engine output differs from seed engine\n--- seed ---\n%s--- %s ---\n%s", id, e, want, e, got)
-			}
+	sim.SetDefaultEngine(sim.EngineBlock)
+	block := render(t)
+	for id, want := range legacy {
+		if got := block[id]; got != want {
+			t.Errorf("%s: block engine output differs from seed engine\n--- seed ---\n%s--- block ---\n%s", id, want, got)
 		}
 	}
 }

@@ -165,12 +165,14 @@ type Rate struct {
 // Entry is one point of the BENCH_sim.json trajectory: the per-engine
 // rates measured on one host at one point in the repo's history.
 type Entry struct {
-	ID                    string          `json:"id"`
-	HostCPU               string          `json:"host_cpu,omitempty"`
-	Go                    string          `json:"go,omitempty"`
-	Samples               int             `json:"samples,omitempty"`
-	Engines               map[string]Rate `json:"engines"`
-	SpeedupBlockVsDecoded float64         `json:"speedup_block_vs_decoded,omitempty"`
+	ID      string          `json:"id"`
+	HostCPU string          `json:"host_cpu,omitempty"`
+	Go      string          `json:"go,omitempty"`
+	Samples int             `json:"samples,omitempty"`
+	Engines map[string]Rate `json:"engines"`
+	// SpeedupBlockVsDecoded is kept so entries recorded while the
+	// retired decoded engine existed round-trip through Save unchanged.
+	SpeedupBlockVsDecoded float64 `json:"speedup_block_vs_decoded,omitempty"`
 	// EnginesBefore holds R0 rates of the preceding commit measured on
 	// the same host, for entries that show the solo path did not move.
 	EnginesBefore map[string]Rate `json:"engines_before,omitempty"`
@@ -251,18 +253,6 @@ func NewEntry(id string, samples int, results, sched []Result) Entry {
 	if len(sched) > 0 {
 		e.Sched = rates(sched)
 		e.SpeedupSchedBlockVsLegacy = round2(SchedSpeedup(sched))
-	}
-	var block, decoded float64
-	for _, r := range results {
-		switch r.Engine {
-		case sim.EngineBlock:
-			block = r.SimMIPS
-		case sim.EngineDecoded:
-			decoded = r.SimMIPS
-		}
-	}
-	if block > 0 && decoded > 0 {
-		e.SpeedupBlockVsDecoded = round2(block / decoded)
 	}
 	return e
 }

@@ -218,6 +218,8 @@ func TestCanonicalizeRejections(t *testing.T) {
 		{"unknown workload", job.Spec{Workload: "nonesuch"}},
 		{"unknown engine", job.Spec{Workload: "stream", Engine: "warp",
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
+		{"retired decoded engine", job.Spec{Workload: "stream", Engine: "decoded",
+			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
 		{"unknown policy", job.Spec{Workload: "stream", Policy: "eager",
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
 		{"unknown args field", job.Spec{Workload: "stream",

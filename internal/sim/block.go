@@ -7,35 +7,35 @@ import (
 	"cyclops/internal/timing"
 )
 
-// The block-compiling engine. The decoded engine still pays one trip
-// through the big issue switch per instruction; for long-lived loops
-// that dispatch is the dominant host-side cost. This engine discovers
-// basic blocks at runtime (block boundaries are isa.EndsBlock, the same
-// definition internal/vet's CFG uses for leaders), translates each block
-// once into a slice of pre-bound Go closures — threaded code — and runs
-// closure after closure, block after block, without returning to the
-// scheduler, for as long as the thread unit is provably the only one
-// due. The hot ops (single-cycle ALU, conditional branches, lw/ld/sw)
-// compile to fully specialized closures: one indirect call per
-// instruction, everything else straight-line. Adjacent pairs led by a
-// fall-through op additionally compile to fused superinstructions that
-// commit two issues per dispatch — that covers lui+ori, addi+bne,
-// ld+fma and every other back-to-back idiom.
+// The block-compiling engine. The legacy interpreter pays a fetch, a
+// decode and one trip through the big issue switch per instruction; for
+// long-lived loops that dispatch is the dominant host-side cost. This
+// engine discovers basic blocks at runtime (block boundaries are
+// isa.EndsBlock, the same definition internal/vet's CFG uses for
+// leaders), translates each block once into a slice of pre-bound Go
+// closures — threaded code — and runs closure after closure, block after
+// block, without returning to the scheduler, for as long as the thread
+// unit is provably the only one due. The hot ops (single-cycle ALU,
+// conditional branches, lw/ld/sw) compile to fully specialized closures:
+// one indirect call per instruction, everything else straight-line.
+// Adjacent pairs led by a fall-through op additionally compile to fused
+// superinstructions that commit two issues per dispatch — that covers
+// lui+ori, addi+bne, ld+fma and every other back-to-back idiom.
 //
 // Timing stays exact by construction, not by approximation:
 //
 //   - Every closure drives the shared timing.Ledger exactly as the
-//     per-issue engines do (ChargeRun, WaitReady, ChargeMemStall,
-//     ObserveAccess), so every table, snapshot and profile is
-//     byte-identical across engines.
+//     per-issue legacy engine does (ChargeRun, WaitReady,
+//     ChargeMemStall, ObserveAccess), so every table, snapshot and
+//     profile is byte-identical across engines.
 //   - Ops are 1:1 with instructions — a block never commits more than
-//     the per-issue engines would. Each issue attempt replicates one
-//     scheduler iteration: inline continuation advances m.cycle, bumps
-//     the round-robin counter and ticks the timeline exactly as a trip
-//     through Run's outer loop would, and is only taken when the
+//     the per-issue legacy engine would. Each issue attempt replicates
+//     one scheduler iteration: inline continuation advances m.cycle,
+//     bumps the round-robin counter and ticks the timeline exactly as a
+//     trip through Run's outer loop would, and is only taken when the
 //     calendar's minimum proves no other unit is due first.
 //   - Multi-unit batches fall back to one issue per unit per cycle, the
-//     decoded engine's exact regime, so contention, tie order and
+//     legacy engine's exact regime, so contention, tie order and
 //     compaction are untouched.
 //   - Fused superinstructions bypass the per-attempt observability
 //     hooks, so they are compiled in but only dispatched when no tracer,
@@ -43,11 +43,14 @@ import (
 //     inline conditions itself and commits only its first instruction
 //     when the second may not run this dispatch.
 //
-// Compiled blocks invalidate with the decode cache: both sit behind
-// mem.WatchCode's code-generation counter, checked before any op that
-// follows a possible memory write, so self-modifying stores, DMA
-// reloads and program reloads flush blocks exactly when they flush
-// decodings (see flushDecode).
+// Each text word is read and decoded once, when the block holding it
+// compiles, and every compiled block registers exactly the words it
+// covers with mem.WatchCode. A write overlapping them — a self-modifying
+// store, a DMA or program reload — bumps the memory's code generation,
+// checked before any op that follows a possible memory write, and
+// flushes every compiled block (flushBlocks). Data next to the text,
+// even on the same page, stays outside the watch, so ordinary stores
+// never flush.
 
 // opFn executes one issue attempt at cycle; the closure performs the
 // instruction's scoreboard wait, charges, effects and PC advance. It
@@ -103,9 +106,9 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	clean := false
 	for {
 		if !clean {
-			if g := memory.CodeGen(); g != m.decGen {
-				m.decGen = g
-				m.flushDecode()
+			if g := memory.CodeGen(); g != m.blockGen {
+				m.blockGen = g
+				m.flushBlocks()
 				blk = nil
 			}
 		}
@@ -191,18 +194,31 @@ func (m *Machine) blockFor(pc uint32) *simBlock {
 	return b
 }
 
+// flushBlocks drops every compiled block and per-unit block hint. Called
+// when the memory's code generation moves: a write landed in compiled
+// text.
+func (m *Machine) flushBlocks() {
+	if m.blocks != nil {
+		m.blocks = nil
+		m.blockFlushes++
+	}
+	for _, tu := range m.TUs {
+		tu.blk = nil
+	}
+}
+
 // Precompile compiles blocks for the given leader PCs (typically
 // vet.Leaders of the loaded program) ahead of execution. Compilation has
 // no timing effect — it only fills host-side caches — so this is purely
-// a warm-up; lazily discovered blocks behave identically. Engines other
-// than the block engine ignore it.
+// a warm-up; lazily discovered blocks behave identically. The legacy
+// engine ignores it.
 func (m *Machine) Precompile(pcs []uint32) {
 	if m.engine != EngineBlock {
 		return
 	}
-	if g := m.Chip.Mem.CodeGen(); g != m.decGen {
-		m.decGen = g
-		m.flushDecode()
+	if g := m.Chip.Mem.CodeGen(); g != m.blockGen {
+		m.blockGen = g
+		m.flushBlocks()
 	}
 	for _, pc := range pcs {
 		if pc%4 == 0 {
@@ -214,27 +230,30 @@ func (m *Machine) Precompile(pcs []uint32) {
 // compileBlock translates the straight-line run starting at base into
 // ops, stopping after the first isa.EndsBlock instruction, at the first
 // unfetchable or illegal word (compiled to a trap op that fires only if
-// execution reaches it), or at the op cap.
+// execution reaches it), or at the op cap. It watches exactly the words
+// it compiled, trap word included.
 func (m *Machine) compileBlock(base uint32) *simBlock {
 	m.blockCompiles++
 	b := &simBlock{base: base}
-	var ents []*decEntry
+	// ins holds the decoded instructions; a trap op, always last, has none.
+	var ins []isa.Inst
 	pc := base
 	for len(b.ops) < maxBlockOps {
-		e, word, err := m.decodeAt(pc)
-		if e == nil {
+		word, err := m.Chip.Mem.Read32(pc)
+		in := isa.Decode(word)
+		if err != nil || in.Op == isa.OpInvalid {
 			b.ops = append(b.ops, blockOp{fn: trapOp(pc, word, err)})
-			ents = append(ents, nil)
 			break
 		}
-		b.ops = append(b.ops, blockOp{fn: m.compileOp(pc, e)})
-		ents = append(ents, e)
-		if isa.EndsBlock(e.in) {
+		b.ops = append(b.ops, blockOp{fn: m.compileOp(pc, in, word)})
+		ins = append(ins, in)
+		if isa.EndsBlock(in) {
 			break
 		}
 		pc += 4
 	}
 	b.end = base + uint32(4*len(b.ops))
+	m.Chip.Mem.WatchCode(base, b.end)
 	// Superinstruction pass: any run of ops whose leading members are
 	// fuse leaders — ops that can commit a fall-through without writing
 	// memory — becomes a superinstruction of up to maxFuse issues; the
@@ -245,12 +264,12 @@ func (m *Machine) compileBlock(base uint32) *simBlock {
 	for i := range b.ops {
 		fns[i] = b.ops[i].fn
 	}
-	for i := 0; i+1 < len(b.ops); i++ {
-		if ents[i] == nil || ents[i+1] == nil || !canLeadFuse(ents[i].in) {
+	for i := 0; i+1 < len(ins); i++ {
+		if !canLeadFuse(ins[i]) {
 			continue
 		}
 		j := i + 1
-		for j+1 < len(b.ops) && j-i+1 < maxFuse && ents[j+1] != nil && canLeadFuse(ents[j].in) {
+		for j+1 < len(ins) && j-i+1 < maxFuse && canLeadFuse(ins[j]) {
 			j++
 		}
 		b.ops[i].fused = fuseChain(fns[i : j+1])
@@ -327,9 +346,8 @@ func trapOp(pc, word uint32, err error) opFn {
 // compileOp translates one instruction into its closure: a fully
 // specialized form for the hot ALU/branch/memory ops, or a generic op
 // that calls the shared issue path — semantically identical to the
-// per-issue engines by construction.
-func (m *Machine) compileOp(pc uint32, e *decEntry) opFn {
-	in, info, word := e.in, e.info, e.word
+// legacy engine by construction.
+func (m *Machine) compileOp(pc uint32, in isa.Inst, word uint32) opFn {
 	lat := &m.Chip.Cfg.Latencies
 	if fn := compileALU(pc, in, word); fn != nil {
 		return fn
@@ -349,6 +367,7 @@ func (m *Machine) compileOp(pc uint32, e *decEntry) opFn {
 	case isa.OpSW:
 		return mkSW(pc, word, in.A, in.B, uint32(in.Imm), uint64(lat.MemExec))
 	}
+	info := isa.InfoRef(in.Op)
 	return func(m *Machine, tu *TU, cycle uint64) bool {
 		m.issue(tu, in, info, word, cycle)
 		return false

@@ -6,10 +6,10 @@ import (
 	"cyclops/internal/asm"
 )
 
-// smcSrc executes the instruction at patch: (so it lands in the decode
-// cache), overwrites it with a store, jumps back, and records what the
-// second pass computed. The decode cache must notice the store into
-// cached text — a stale decode would write 7 instead of 42.
+// smcSrc executes the instruction at patch: (so it lands in a compiled
+// block), overwrites it with a store, jumps back, and records what the
+// second pass computed. The block engine must notice the store into
+// compiled text — a stale block would write 7 instead of 42.
 const smcSrc = `
 	la   r20, out
 	la   r21, patch
@@ -19,7 +19,7 @@ patch:	addi r11, r0, 7		; executed twice; rewritten between passes
 	bne  r9, r0, done
 	li   r9, 1
 	lw   r10, 0(r22)	; template word: "addi r11, r0, 42"
-	sw   r10, 0(r21)	; store into text -> must flush the decode cache
+	sw   r10, 0(r21)	; store into text -> must flush the compiled blocks
 	j    patch
 done:	sw   r11, 0(r20)
 	halt
@@ -37,10 +37,9 @@ func smcOut(t *testing.T) uint32 {
 }
 
 // TestSelfModifyingCode checks the WatchCode invalidation property on
-// every engine: the legacy interpreter (which re-reads memory each issue
-// and so is correct trivially — the pinned reference), the decoded
-// engine (stale decode entries must flush), and the block engine (stale
-// compiled blocks must flush and recompile).
+// both engines: the legacy interpreter (which re-reads memory each issue
+// and so is correct trivially — the pinned reference) and the block
+// engine (stale compiled blocks must flush and recompile).
 func TestSelfModifyingCode(t *testing.T) {
 	for _, e := range Engines() {
 		t.Run(e.String(), func(t *testing.T) {
@@ -50,12 +49,8 @@ func TestSelfModifyingCode(t *testing.T) {
 			}
 			switch e {
 			case EngineLegacy:
-				if m.decPages != nil {
-					t.Fatal("legacy engine populated the decode cache")
-				}
-			case EngineDecoded:
-				if m.decPages == nil {
-					t.Fatal("decode cache was never populated (legacy path taken?)")
+				if m.blocks != nil {
+					t.Fatal("legacy engine populated the block cache")
 				}
 			case EngineBlock:
 				if m.blocks == nil {
@@ -69,5 +64,44 @@ func TestSelfModifyingCode(t *testing.T) {
 				t.Fatalf("%s: out = %d, want 42 (stale code executed)", e, got)
 			}
 		})
+	}
+}
+
+// dataSrc stores to out on every iteration of loop. out sits right after
+// the text, on the same 1 KB page, but no block ever compiles it.
+const dataSrc = `
+	la   r20, out
+	li   r8, 100
+	li   r9, 0
+loop:	addi r9, r9, 3
+	sw   r9, 0(r20)	; data store next to compiled text
+	addi r8, r8, -1
+	bne  r8, r0, loop
+	halt
+out:	.space 4
+`
+
+// TestCodeWatchIsExact checks the code watch covers exactly the
+// compiled words: stores to a data word that shares a page with the
+// text must neither flush the compiled blocks nor disturb the result.
+func TestCodeWatchIsExact(t *testing.T) {
+	p, err := asm.Assemble(dataSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, loop := p.Symbols["out"], p.Symbols["loop"]
+	if out>>10 != loop>>10 {
+		t.Fatalf("out %#x and loop %#x are on different 1 KB pages; the test needs them on one", out, loop)
+	}
+	m := runEngine(t, dataSrc, EngineBlock)
+	if got := word(t, m, out); got != 300 {
+		t.Fatalf("out = %d, want 300", got)
+	}
+	compiles, flushes := m.BlockStats()
+	if compiles == 0 {
+		t.Fatal("no block compiled (wrong engine path taken?)")
+	}
+	if flushes != 0 {
+		t.Fatalf("%d block flushes from stores outside the compiled text, want 0", flushes)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // engine — under the same issue policy and latency model — and
 // everything observable: the run error, the statistics snapshot, and
 // each unit's final PC, state and register file, must match
-// byte-for-byte. The legacy interpreter is the oracle; the decoded and
-// block engines must be indistinguishable from it.
+// byte-for-byte. The legacy interpreter is the oracle; the block engine
+// must be indistinguishable from it.
 
 // diffScenario is one (issue policy, latency model) point a differential
 // case runs under.
@@ -114,18 +114,16 @@ func diffState(m *Machine, err error) string {
 	return sb.String()
 }
 
-// diffCompare runs src on every engine under scenario sc and fails the
-// test on the first divergence from the legacy oracle.
+// diffCompare runs src on both engines under scenario sc and fails the
+// test if the block engine diverges from the legacy oracle.
 func diffCompare(t *testing.T, name, src string, sc diffScenario) {
 	t.Helper()
 	ref, refErr := diffRun(src, EngineLegacy, sc)
 	want := diffState(ref, refErr)
-	for _, e := range []Engine{EngineDecoded, EngineBlock} {
-		m, err := diffRun(src, e, sc)
-		if got := diffState(m, err); got != want {
-			t.Fatalf("%s (%s): %s engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- %s ---\n%s",
-				name, sc, e, src, want, e, got)
-		}
+	m, err := diffRun(src, EngineBlock, sc)
+	if got := diffState(m, err); got != want {
+		t.Fatalf("%s (%s): block engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- block ---\n%s",
+			name, sc, src, want, got)
 	}
 }
 
@@ -200,12 +198,10 @@ func diffCompareMulti(t *testing.T, name, src string, units []int, sc diffScenar
 	t.Helper()
 	ref, refErr := diffRunMulti(src, units, EngineLegacy, sc)
 	want := diffState(ref, refErr)
-	for _, e := range []Engine{EngineDecoded, EngineBlock} {
-		m, err := diffRunMulti(src, units, e, sc)
-		if got := diffState(m, err); got != want {
-			t.Fatalf("%s (%s, units %v): %s engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- %s ---\n%s",
-				name, sc, units, e, src, want, e, got)
-		}
+	m, err := diffRunMulti(src, units, EngineBlock, sc)
+	if got := diffState(m, err); got != want {
+		t.Fatalf("%s (%s, units %v): block engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- block ---\n%s",
+			name, sc, units, src, want, got)
 	}
 	if ref == nil {
 		return 0

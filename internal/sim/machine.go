@@ -53,9 +53,6 @@ type TU struct {
 	// in the calendar's slot bitmaps, whose rotated scan reproduces the
 	// legacy positional round-robin tie order. compact renumbers it.
 	pos int
-	// decPage / decPageKey hint the unit's current decode-cache page.
-	decPage    *decPage
-	decPageKey uint32
 	// blk hints the unit's current compiled block (block engine only).
 	blk *simBlock
 
@@ -120,17 +117,15 @@ type Machine struct {
 	cal   calendar
 	batch []*TU
 
-	// Decoded-instruction cache (see decode.go).
-	decPages map[uint32]*decPage
-	decGen   uint64
-
-	// Compiled-block cache (see block.go), keyed by entry PC.
+	// Compiled-block cache (see block.go), keyed by entry PC, and the
+	// memory code generation it was compiled under.
 	blocks        map[uint32]*simBlock
+	blockGen      uint64
 	blockCompiles uint64
 	blockFlushes  uint64
 
-	// engine selects the execution engine tier (see engine.go). All
-	// tiers are cycle- and byte-identical; they differ in host cost.
+	// engine selects the execution engine (see engine.go). Both engines
+	// are cycle- and byte-identical; they differ in host cost.
 	engine Engine
 
 	// pol is the issue policy (see policy.go); polInline caches its
@@ -274,18 +269,16 @@ func (m *Machine) Trap(format string, args ...interface{}) {
 // Run executes until every started thread halts, a trap fires, or the
 // cycle limit is hit. It returns the first trap, if any.
 //
-// The decoded and block engines share this event-driven loop: the
-// calendar (sched.go) hands over the batch due at the earliest pending
-// cycle, already in the legacy round-robin order, so cost scales with
-// units issuing rather than units alive. Decoded issues one instruction
-// per unit per batch (step); block runs compiled blocks (stepBlock),
-// inline past the batch cycle while a unit is alone. The legacy engine
-// keeps its own loop as the independent oracle.
+// The block engine's loop is event-driven: the calendar (sched.go)
+// hands over the batch due at the earliest pending cycle, already in the
+// legacy round-robin order, so cost scales with units issuing rather
+// than units alive. Each unit runs compiled blocks (stepBlock), inline
+// past the batch cycle while it is alone. The legacy engine keeps its
+// own loop as the independent oracle.
 func (m *Machine) Run() error {
 	if m.engine == EngineLegacy {
 		return m.runLegacy()
 	}
-	block := m.engine == EngineBlock
 	for len(m.active) > 0 && m.trap == nil {
 		// Advance to the earliest pending issue cycle.
 		m.cycle = m.cal.min
@@ -299,7 +292,7 @@ func (m *Machine) Run() error {
 		m.rr++
 		m.batch = m.cal.pop(m.cycle, m.active, m.rr, m.batch[:0])
 		limit := m.cycle
-		if block && len(m.batch) == 1 && m.polInline {
+		if len(m.batch) == 1 && m.polInline {
 			// A lone ready unit may run unboundedly inline — but only when
 			// the issue policy certifies its timing flows entirely through
 			// ledger charges and resume times (InlineOK).
@@ -307,11 +300,7 @@ func (m *Machine) Run() error {
 		}
 		anyHalted := false
 		for bi, tu := range m.batch {
-			if block {
-				m.stepBlock(tu, limit)
-			} else {
-				m.step(tu)
-			}
+			m.stepBlock(tu, limit)
 			if tu.State == Running {
 				m.cal.push(tu, m.cycle)
 			} else {

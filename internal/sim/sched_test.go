@@ -172,40 +172,38 @@ func TestCalendarTrapRequeuesUnreached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Engine{EngineBlock, EngineDecoded} {
-		chip := core.MustNew(arch.Default())
-		m := New(chip, trapSys{})
-		m.SetEngine(e)
-		if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
+	chip := core.MustNew(arch.Default())
+	m := New(chip, trapSys{})
+	m.SetEngine(EngineBlock)
+	if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 8; id++ {
+		if err := m.Start(id, p.Entry); err != nil {
 			t.Fatal(err)
 		}
-		for id := 0; id < 8; id++ {
-			if err := m.Start(id, p.Entry); err != nil {
-				t.Fatal(err)
-			}
+	}
+	if err := m.Run(); err == nil {
+		t.Fatal("run did not trap")
+	}
+	var unreached []int
+	for _, tu := range m.active {
+		if tu.State == Running && tu.nextAt == m.cycle {
+			unreached = append(unreached, tu.ID)
 		}
-		if err := m.Run(); err == nil {
-			t.Fatalf("%s: run did not trap", e)
-		}
-		var unreached []int
-		for _, tu := range m.active {
-			if tu.State == Running && tu.nextAt == m.cycle {
-				unreached = append(unreached, tu.ID)
-			}
-		}
-		if len(unreached) != 6 {
-			t.Fatalf("%s: %d units due at the trap cycle, want 6", e, len(unreached))
-		}
-		if m.cal.min != m.cycle {
-			t.Fatalf("%s: queue minimum %d, want the trap cycle %d", e, m.cal.min, m.cycle)
-		}
-		var queued []int
-		for _, tu := range m.cal.pop(m.cycle, m.active, 0, nil) {
-			queued = append(queued, tu.ID)
-		}
-		if !reflect.DeepEqual(queued, unreached) {
-			t.Fatalf("%s: requeued %v, want the unreached units %v", e, queued, unreached)
-		}
+	}
+	if len(unreached) != 6 {
+		t.Fatalf("%d units due at the trap cycle, want 6", len(unreached))
+	}
+	if m.cal.min != m.cycle {
+		t.Fatalf("queue minimum %d, want the trap cycle %d", m.cal.min, m.cycle)
+	}
+	var queued []int
+	for _, tu := range m.cal.pop(m.cycle, m.active, 0, nil) {
+		queued = append(queued, tu.ID)
+	}
+	if !reflect.DeepEqual(queued, unreached) {
+		t.Fatalf("requeued %v, want the unreached units %v", queued, unreached)
 	}
 }
 

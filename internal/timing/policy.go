@@ -24,7 +24,7 @@ import (
 // policy overhead separately instead of smearing it into the resource
 // buckets. A penalty of zero is therefore bit-identical to fine-grained,
 // and all timing flows through Ledger charges plus resume times — which
-// is what keeps the three sim engines cycle-identical under any policy.
+// is what keeps the two sim engines cycle-identical under any policy.
 type Policy interface {
 	// Name returns the flag spelling: fine, blocked or switchmiss.
 	Name() string
