@@ -1,6 +1,9 @@
 package experiments_test
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,6 +11,8 @@ import (
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite the per-experiment golden tables")
 
 // render runs every experiment at Small scale and returns the rendered
 // tables keyed by ID.
@@ -32,6 +37,11 @@ func render(t *testing.T) map[string]string {
 // original: same cycle counts, same stats, same rendered output. Both
 // renders take the wide sweep pool; TestSweepWorkerEquivalence checks
 // that the pool size does not matter.
+//
+// The block render is also pinned byte-exact against
+// testdata/<id>.golden, so a change that moves both engines the same
+// way still shows. Rewrite the goldens only on purpose, with
+// `go test ./experiments -run EngineEquivalence -update`.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment once per engine")
@@ -46,6 +56,24 @@ func TestEngineEquivalence(t *testing.T) {
 	for id, want := range legacy {
 		if got := block[id]; got != want {
 			t.Errorf("%s: block engine output differs from seed engine\n--- seed ---\n%s--- block ---\n%s", id, want, got)
+		}
+	}
+	for id, got := range block {
+		path := filepath.Join("testdata", id+".golden")
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run `go test ./experiments -run EngineEquivalence -update` to create it)", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: table drifted from golden\n--- golden ---\n%s--- got ---\n%s", id, want, got)
 		}
 	}
 }
