@@ -121,14 +121,12 @@ func renderMatrix(e sim.Engine) (string, error) {
 				return "", fmt.Errorf("%s @ %s: %w", pol, lat, err)
 			}
 			fmt.Fprintf(&sb, "%-13s %-18s cycles=%d run=%d stall=%d", pol, lat, r.BestCycles, r.Run, r.Stall)
-			if obs.Enabled {
-				if r.Stalls.Total() != r.Stall {
-					return "", fmt.Errorf("%s @ %s: buckets sum %d != stall %d", pol, lat, r.Stalls.Total(), r.Stall)
-				}
-				for i, name := range obs.ReasonNames() {
-					if v := r.Stalls[i]; v != 0 {
-						fmt.Fprintf(&sb, " %s=%d", name, v)
-					}
+			if r.Stalls.Total() != r.Stall {
+				return "", fmt.Errorf("%s @ %s: buckets sum %d != stall %d", pol, lat, r.Stalls.Total(), r.Stall)
+			}
+			for i, name := range obs.ReasonNames() {
+				if v := r.Stalls[i]; v != 0 {
+					fmt.Fprintf(&sb, " %s=%d", name, v)
 				}
 			}
 			sb.WriteByte('\n')

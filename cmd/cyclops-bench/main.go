@@ -72,7 +72,6 @@ func run() (code int) {
 	scaleStr := flag.String("scale", "small", "experiment scale: small | full (paper parameters)")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "sweep worker pool size (1 = fully serial)")
-	stats := flag.Bool("stats", false, "report the run/stall cycle breakdown for STREAM and FFT (shorthand for -run breakdown)")
 	jf := job.AddFlags(flag.CommandLine)
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory; warm entries skip simulation")
 	traceRuns := flag.String("trace-runs", "", "record every experiment point's run stages as spans and write a Chrome trace-event JSON to this file (- = stdout)")
@@ -188,11 +187,8 @@ func run() (code int) {
 			}
 			exps = append(exps, e)
 		}
-	case *stats:
-		e, _ := harness.Lookup("breakdown")
-		exps = append(exps, e)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all | -stats  [-scale small|full] [-csv dir] [-parallel N] [-cpuprofile F]")
+		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all  [-scale small|full] [-csv dir] [-parallel N] [-cpuprofile F]")
 		return 2
 	}
 

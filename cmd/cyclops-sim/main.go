@@ -172,16 +172,10 @@ func run(path string, o options) (err error) {
 	var pr *prof.Profile
 	var tl *prof.Timeline
 	if o.profileOut != "" {
-		if !obs.Enabled {
-			return fmt.Errorf("-profile-out requires the observability layer (built without cyclops_noobs)")
-		}
 		pr = prof.New(o.sampleEvery)
 		k.Machine().AttachProfile(pr)
 	}
 	if o.timelineOut != "" {
-		if !obs.Enabled {
-			return fmt.Errorf("-timeline-out requires the observability layer (built without cyclops_noobs)")
-		}
 		tl = prof.NewTimeline(o.timelineEvery)
 		k.Machine().AttachTimeline(tl)
 	}
@@ -189,7 +183,7 @@ func run(path string, o options) (err error) {
 		return err
 	}
 	// Warm the block engine's code cache from the program's static CFG
-	// (the other engines ignore this). Purely host-side: lazily compiled
+	// (the legacy engine ignores this). Purely host-side: lazily compiled
 	// blocks would behave identically.
 	k.Machine().Precompile(vet.Leaders(prog))
 	wallStart := time.Now()

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"cyclops/internal/obs"
 )
 
 const helloSrc = `
@@ -98,9 +96,6 @@ func TestOutputFilesCreatedUpFront(t *testing.T) {
 		{"cpuprofile", options{maxCycles: 100000, cpuProfile: bad}},
 	}
 	for _, f := range fields {
-		if !obs.Enabled && (f.name == "profile-out" || f.name == "timeline-out") {
-			continue
-		}
 		err := run(src, f.o)
 		if err == nil {
 			t.Fatalf("%s: uncreatable path accepted", f.name)
@@ -129,9 +124,6 @@ func TestOutputFilesCreatedUpFront(t *testing.T) {
 // TestProfileAndTimelineOutputs runs with the profiler attached and
 // checks the pprof and timeline artifacts.
 func TestProfileAndTimelineOutputs(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	dir := t.TempDir()
 	src := filepath.Join(dir, "p.s")
 	if err := os.WriteFile(src, []byte(helloSrc), 0o644); err != nil {

@@ -92,7 +92,7 @@ func Breakdown(s Scale) (*Table, error) {
 	}
 	for i, p := range pts {
 		r := res[i]
-		if got := r.stalls.Total(); obs.Enabled && got != r.stall {
+		if got := r.stalls.Total(); got != r.stall {
 			return nil, fmt.Errorf("harness: %s (%s, %d threads): per-reason stalls sum to %d, legacy total is %d",
 				p.workload, p.engine, p.threads, got, r.stall)
 		}

@@ -131,7 +131,7 @@ func Matrix(s Scale) (*Table, error) {
 	}
 	for i, p := range pts {
 		r := res[i]
-		if got := r.stalls.Total(); obs.Enabled && got != r.stall {
+		if got := r.stalls.Total(); got != r.stall {
 			return nil, fmt.Errorf("harness: %s (%s, %s, %s): per-reason stalls sum to %d, legacy total is %d",
 				p.workload, p.pol, p.lat, p.engine, got, r.stall)
 		}

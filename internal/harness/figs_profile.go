@@ -38,13 +38,6 @@ func Profile(s Scale) (*Table, error) {
 		Title:   fmt.Sprintf("Guest profiler hot spots (top %d symbols, sampled every %d cycles)", topK, every),
 		Columns: cols,
 	}
-	if !obs.Enabled {
-		// The sampler compiles out with the counters, so there is
-		// nothing to report; render an empty table rather than failing
-		// so registry-wide sweeps keep working under cyclops_noobs.
-		t.Note("profiler disabled: built with cyclops_noobs (obs.Enabled = false)")
-		return t, nil
-	}
 
 	type point struct {
 		workload, engine string

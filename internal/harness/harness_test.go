@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"cyclops/internal/obs"
 )
 
 func TestParseScale(t *testing.T) {
@@ -209,9 +207,6 @@ func TestMicroBarrier(t *testing.T) {
 }
 
 func TestBreakdownShares(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	tab, err := Breakdown(Small)
 	if err != nil {
 		t.Fatal(err)

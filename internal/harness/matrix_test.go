@@ -18,9 +18,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // workload) point are part of the repo's contract, regenerated only by
 // an intentional `go test -run MatrixGolden -update ./internal/harness`.
 func TestMatrixGolden(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	tab, err := Matrix(Small)
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +48,6 @@ func TestMatrixGolden(t *testing.T) {
 // switching policies at Table 2 charge some, and blocked charges at
 // least as much as switch-on-miss on the same scenario point.
 func TestMatrixShares(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	tab, err := Matrix(Small)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cyclops/internal/harness/sweep"
-	"cyclops/internal/obs"
 )
 
 // The profile table must be byte-identical for any sweep worker count:
@@ -13,9 +12,6 @@ import (
 // per-thread buckets deterministically, so -parallel must never change a
 // rendered byte.
 func TestProfileTableDeterministicAcrossWorkers(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	old := sweep.Workers()
 	defer sweep.SetWorkers(old)
 
@@ -40,9 +36,6 @@ func TestProfileTableDeterministicAcrossWorkers(t *testing.T) {
 // symbol is a generated loop label, the hottest FFT symbol is a kernel
 // phase, and each row's run+stall percentages account for the symbol.
 func TestProfileTableShape(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	tbl, err := Profile(Small)
 	if err != nil {
 		t.Fatal(err)

@@ -34,34 +34,18 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// Engine resolves the -engine flag.
-func (f *Flags) Engine() (sim.Engine, error) { return sim.ParseEngine(*f.engine) }
-
-// Policy resolves the -policy/-switch-penalty pair.
-func (f *Flags) Policy() (timing.Policy, error) {
-	return timing.ParsePolicy(*f.policy, *f.switchPenalty)
-}
-
-// Latency resolves the -lat flag.
-func (f *Flags) Latency() (timing.LatencyModel, error) {
-	return timing.ParseLatencies(*f.lat)
-}
-
 // Resolve parses all three selections, returning the first error.
 func (f *Flags) Resolve() (sim.Engine, timing.Policy, timing.LatencyModel, error) {
-	eng, err := f.Engine()
+	eng, err := sim.ParseEngine(*f.engine)
 	if err != nil {
 		return eng, nil, timing.LatencyModel{}, err
 	}
-	pol, err := f.Policy()
+	pol, err := timing.ParsePolicy(*f.policy, *f.switchPenalty)
 	if err != nil {
 		return eng, nil, timing.LatencyModel{}, err
 	}
-	lat, err := f.Latency()
-	if err != nil {
-		return eng, pol, lat, err
-	}
-	return eng, pol, lat, nil
+	lat, err := timing.ParseLatencies(*f.lat)
+	return eng, pol, lat, err
 }
 
 // Usage is the shared usage fragment naming the selection flags, for the
@@ -80,12 +64,6 @@ func (f *Flags) InstallDefaults() error {
 	if err != nil {
 		return err
 	}
-	return InstallDefaults(eng, pol, lat)
-}
-
-// InstallDefaults installs explicit selections process-wide (see
-// Flags.InstallDefaults).
-func InstallDefaults(eng sim.Engine, pol timing.Policy, lat timing.LatencyModel) error {
 	sim.SetDefaultEngine(eng)
 	timing.SetDefaultPolicy(pol)
 	if lat != timing.DefaultLatencies() {

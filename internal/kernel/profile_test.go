@@ -6,7 +6,6 @@ import (
 	"cyclops/internal/arch"
 	"cyclops/internal/asm"
 	"cyclops/internal/core"
-	"cyclops/internal/obs"
 	"cyclops/internal/prof"
 )
 
@@ -14,9 +13,6 @@ import (
 // ledger: at a sampling interval of 1 every charged cycle takes a
 // sample, so per-unit sample counts equal the unit's run+stall total.
 func TestProfilerReconcilesWithLedger(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	p, err := asm.Assemble(hwBarrierSrc(4, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +56,6 @@ func TestProfilerReconcilesWithLedger(t *testing.T) {
 // per-reason breakdown, the memory-wait attribution and the resource
 // busy totals exactly.
 func TestTimelineSumMatchesSnapshot(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	p, err := asm.Assemble(swBarrierSrc(4, 8))
 	if err != nil {
 		t.Fatal(err)

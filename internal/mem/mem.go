@@ -220,14 +220,10 @@ func (m *Memory) FillLine(now uint64, addr uint32) uint64 {
 	start := now
 	if b.freeAt > start {
 		start = b.freeAt
-		if obs.Enabled {
-			b.conflicts++
-			b.waitCycles += start - now
-		}
+		b.conflicts++
+		b.waitCycles += start - now
 	}
-	if obs.Enabled {
-		b.grants++
-	}
+	b.grants++
 	b.freeAt = start + uint64(m.cfg.MemBurstCycles)
 	b.busy += uint64(m.cfg.MemBurstCycles)
 	m.LineFills++
@@ -255,14 +251,10 @@ func (m *Memory) WriteThrough(now uint64, addr uint32, size int) (admit uint64) 
 		start := now
 		if b.freeAt > start {
 			start = b.freeAt
-			if obs.Enabled {
-				b.conflicts++
-				b.waitCycles += start - now
-			}
+			b.conflicts++
+			b.waitCycles += start - now
 		}
-		if obs.Enabled {
-			b.grants++
-		}
+		b.grants++
 		cost := uint64(m.cfg.MemBurstCycles / 2)
 		b.freeAt = start + cost
 		b.busy += cost

@@ -13,10 +13,9 @@
 // StallCycles totals (pinned by test).
 //
 // Everything on the hot path is a fixed-size array indexed by an enum —
-// no maps, no interfaces, no allocation. Building with the cyclops_noobs
-// tag compiles the per-reason and per-resource accounting out entirely
-// (Enabled becomes a false constant and the guarded increments are dead
-// code); the legacy run/stall totals are unaffected either way.
+// no maps, no interfaces, no allocation. The accounting is always on:
+// the breakdown, profile and matrix tables are built from it, so there
+// is no build that leaves it out.
 package obs
 
 import (

@@ -301,12 +301,3 @@ func TestMemWaitsAccountingAndJSON(t *testing.T) {
 		t.Error("UnmarshalJSON accepted a non-object")
 	}
 }
-
-func TestEnabledDefault(t *testing.T) {
-	// The default build has accounting compiled in; the cyclops_noobs
-	// tag flips this to false (and this test is skipped there because
-	// breakdown asserts elsewhere would be vacuous).
-	if !Enabled {
-		t.Skip("built with cyclops_noobs")
-	}
-}

@@ -11,9 +11,6 @@ import (
 // spins and store backpressure — and checks each thread's buckets sum to
 // its legacy stall total.
 func TestPerfStallReasonsSum(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	const n = 8
 	m := NewDefault()
 	b := NewSWBarrier(m, n, 4)
@@ -74,9 +71,6 @@ func TestHWBarrierChargesNoBarrierStall(t *testing.T) {
 // checks the wait is split across the port and bank buckets without
 // breaking the sum invariant.
 func TestStoreBackpressureSplit(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	const n = 16
 	m := NewDefault()
 	dst := m.SharedAlloc(1 << 16)

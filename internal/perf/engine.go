@@ -180,7 +180,7 @@ func (m *Machine) Spawn(fn func(t *T)) (*T, error) {
 		resume: make(chan struct{}),
 	}
 	t.Pol = m.polTab
-	if obs.Enabled && m.Prof != nil {
+	if m.Prof != nil {
 		t.Samp = m.Prof.Sampler(tid)
 	}
 	m.threads = append(m.threads, t)
@@ -190,11 +190,8 @@ func (m *Machine) Spawn(fn func(t *T)) (*T, error) {
 // AttachProfile wires a guest profiler: every thread's ledger forwards
 // its charges to a per-unit sampler, and Regions provides the synthetic
 // PC space for T.Region annotations. Call before Run (threads spawned
-// earlier are wired retroactively); a no-op under cyclops_noobs.
+// earlier are wired retroactively).
 func (m *Machine) AttachProfile(p *prof.Profile) {
-	if !obs.Enabled {
-		return
-	}
 	m.Prof = p
 	if m.Regions == nil {
 		m.Regions = prof.NewRegionTable()
@@ -205,11 +202,8 @@ func (m *Machine) AttachProfile(p *prof.Profile) {
 }
 
 // AttachTimeline wires an interval telemetry timeline sampled on the
-// engine's virtual clock. Call before Run; a no-op under cyclops_noobs.
+// engine's virtual clock. Call before Run.
 func (m *Machine) AttachTimeline(t *prof.Timeline) {
-	if !obs.Enabled {
-		return
-	}
 	m.TL = t
 }
 

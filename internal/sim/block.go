@@ -3,7 +3,6 @@ package sim
 import (
 	"cyclops/internal/arch"
 	"cyclops/internal/isa"
-	"cyclops/internal/obs"
 	"cyclops/internal/timing"
 )
 
@@ -97,7 +96,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	// (SetPC, trace records, timeline ticks), so they dispatch only when
 	// none of those observers is attached — and only when the issue
 	// policy permits inline continuation (InlineOK).
-	fuse := m.polInline && m.Trace == nil && tl == nil && !(obs.Enabled && tu.Samp != nil)
+	fuse := m.polInline && m.Trace == nil && tl == nil && tu.Samp == nil
 	blk := tu.blk
 	// clean is opFn's contract: the last op provably wrote no memory, so
 	// the code generation cannot have moved and need not be re-read.
@@ -113,7 +112,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 			}
 		}
 		pc := tu.PC
-		if obs.Enabled && tu.Samp != nil {
+		if tu.Samp != nil {
 			tu.Samp.SetPC(pc)
 		}
 		if tu.pib.contains(pc) {
@@ -858,7 +857,7 @@ func mkJAL(pc, word uint32, a uint8, target uint32, be uint64) opFn {
 			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
 		}
 		tu.setReg(a, pc+4, cyc+2)
-		if obs.Enabled && tu.Samp != nil && a != isa.RZero {
+		if tu.Samp != nil && a != isa.RZero {
 			tu.Samp.Call(target)
 		}
 		tu.ChargeRun(be)
@@ -886,7 +885,7 @@ func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			return false
 		}
-		if obs.Enabled && tu.Samp != nil {
+		if tu.Samp != nil {
 			if a != isa.RZero {
 				tu.Samp.Call(t)
 			} else {

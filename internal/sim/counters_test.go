@@ -61,9 +61,6 @@ func runCounting(t *testing.T, src string, sys Syscaller) *Machine {
 // buckets must sum to the untagged StallCycles for every thread unit, and
 // each provoked reason must actually land in its bucket.
 func TestStallReasonsSumToLegacyTotal(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	m := runCounting(t, reasonSrc, &retrySys{left: 3})
 	var want obs.Breakdown
 	for _, tu := range m.TUs {
@@ -93,9 +90,6 @@ func TestStallReasonsSumToLegacyTotal(t *testing.T) {
 // identical runs: the exported bytes must match exactly, and the
 // aggregates must equal the per-thread sums.
 func TestSnapshotDeterministicJSON(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	render := func() ([]byte, *Machine) {
 		m := runCounting(t, reasonSrc, &retrySys{left: 3})
 		var buf bytes.Buffer
@@ -206,8 +200,8 @@ func TestChromeTraceSchema(t *testing.T) {
 	if meta == 0 || slices == 0 {
 		t.Errorf("trace has %d metadata and %d slice events, want both > 0", meta, slices)
 	}
-	// One memwait counter per traced unit when accounting is compiled in.
-	if obs.Enabled && counters != meta {
+	// One memwait counter per traced unit.
+	if counters != meta {
 		t.Errorf("trace has %d counter events for %d traced units", counters, meta)
 	}
 }

@@ -122,7 +122,7 @@ func memSize(op isa.Op) uint32 {
 // the legacy engine's per-issue fetch and decode from embedded memory.
 func (m *Machine) step(tu *TU) {
 	cycle := m.cycle
-	if obs.Enabled && tu.Samp != nil {
+	if tu.Samp != nil {
 		// Publish the PC before any charge so fetch stalls, dep stalls
 		// and issue cycles all sample at the instruction they belong to.
 		tu.Samp.SetPC(tu.PC)
@@ -386,7 +386,7 @@ func (m *Machine) execBranch(tu *TU, in isa.Inst, cycle uint64) (bool, uint32) {
 	switch in.Op {
 	case isa.OpJAL:
 		tu.setReg(in.A, tu.PC+4, cycle+2)
-		if obs.Enabled && tu.Samp != nil && in.A != isa.RZero {
+		if tu.Samp != nil && in.A != isa.RZero {
 			tu.Samp.Call(target) // linking jump: enter the callee
 		}
 		return true, target
@@ -397,7 +397,7 @@ func (m *Machine) execBranch(tu *TU, in isa.Inst, cycle uint64) (bool, uint32) {
 			m.Trap("sim: thread %d: jalr to unaligned %#x at %#x", tu.ID, t, tu.PC)
 			return false, 0
 		}
-		if obs.Enabled && tu.Samp != nil {
+		if tu.Samp != nil {
 			if in.A != isa.RZero {
 				tu.Samp.Call(t) // indirect call
 			} else {

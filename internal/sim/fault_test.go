@@ -76,9 +76,6 @@ func TestDisableQuadStallAccounting(t *testing.T) {
 		if tu.Run == 0 || tu.Stall == 0 {
 			t.Errorf("%s: run/stall = %d/%d, want both > 0", name, tu.Run, tu.Stall)
 		}
-		if !obs.Enabled {
-			continue
-		}
 		if got := tu.Stalls.Total(); got != tu.Stall {
 			t.Errorf("%s: reason buckets sum to %d, Stall = %d", name, got, tu.Stall)
 		}

@@ -170,12 +170,8 @@ func New(chip *core.Chip, kernel Syscaller) *Machine {
 func (m *Machine) Cycle() uint64 { return m.cycle }
 
 // AttachProfile wires a guest profiler: every thread unit's ledger
-// forwards its charges to a per-unit sampler. Call before Run; a no-op
-// under cyclops_noobs.
+// forwards its charges to a per-unit sampler. Call before Run.
 func (m *Machine) AttachProfile(p *prof.Profile) {
-	if !obs.Enabled {
-		return
-	}
 	m.Prof = p
 	for _, tu := range m.TUs {
 		tu.Samp = p.Sampler(tu.ID)
@@ -183,11 +179,8 @@ func (m *Machine) AttachProfile(p *prof.Profile) {
 }
 
 // AttachTimeline wires an interval telemetry timeline sampled on the
-// machine's cycle clock. Call before Run; a no-op under cyclops_noobs.
+// machine's cycle clock. Call before Run.
 func (m *Machine) AttachTimeline(t *prof.Timeline) {
-	if !obs.Enabled {
-		return
-	}
 	m.TL = t
 }
 

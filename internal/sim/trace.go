@@ -29,8 +29,6 @@ type TraceBuffer struct {
 	entries []TraceEntry
 	next    int
 	full    bool
-	// Filter restricts recording to one thread unit when >= 0.
-	Filter int
 }
 
 // NewTraceBuffer holds the last n issues.
@@ -38,14 +36,11 @@ func NewTraceBuffer(n int) *TraceBuffer {
 	if n < 1 {
 		n = 1
 	}
-	return &TraceBuffer{entries: make([]TraceEntry, n), Filter: -1}
+	return &TraceBuffer{entries: make([]TraceEntry, n)}
 }
 
 // record appends an entry, overwriting the oldest.
 func (tb *TraceBuffer) record(e TraceEntry) {
-	if tb.Filter >= 0 && e.TID != tb.Filter {
-		return
-	}
 	tb.entries[tb.next] = e
 	tb.next++
 	if tb.next == len(tb.entries) {
@@ -75,12 +70,11 @@ func (tb *TraceBuffer) Len() int {
 
 // ChromeTrace renders the machine's trace buffer as Chrome trace-event
 // JSON: one timeline per thread unit (grouped by quad as the process),
-// one slice per issued instruction, and — when the observability layer is
-// compiled in — one "memwait" counter sample per unit publishing its
-// final port/bank/fill/hop memory-wait attribution. A slice spans from
-// the instruction's issue to the unit's next issue, so stalls show up as
-// long slices on the instruction that preceded them; chrome://tracing
-// and Perfetto both load the output directly.
+// one slice per issued instruction, and one "memwait" counter sample per
+// unit publishing its final port/bank/fill/hop memory-wait attribution.
+// A slice spans from the instruction's issue to the unit's next issue,
+// so stalls show up as long slices on the instruction that preceded
+// them; chrome://tracing and Perfetto both load the output directly.
 func (m *Machine) ChromeTrace(w io.Writer) error {
 	if m.Trace == nil {
 		return fmt.Errorf("sim: no trace buffer attached (set Machine.Trace)")
@@ -134,31 +128,29 @@ func (m *Machine) ChromeTrace(w io.Writer) error {
 	// sample at its last recorded issue, in the same kind order as the
 	// breakdown table columns.
 	var counters []obs.TraceCounter
-	if obs.Enabled {
-		lastIssue := make(map[int]uint64, len(tids))
-		for _, e := range entries { // oldest first: last write wins
-			lastIssue[e.TID] = e.Cycle
+	lastIssue := make(map[int]uint64, len(tids))
+	for _, e := range entries { // oldest first: last write wins
+		lastIssue[e.TID] = e.Cycle
+	}
+	names := obs.MemWaitNames()
+	for _, tid := range tids {
+		tu := m.TUs[tid]
+		series := make([][2]string, len(names))
+		for k, name := range names {
+			series[k] = [2]string{name, fmt.Sprintf("%d", tu.MemWaits[obs.MemWaitKind(k)])}
 		}
-		names := obs.MemWaitNames()
-		for _, tid := range tids {
-			tu := m.TUs[tid]
-			series := make([][2]string, len(names))
-			for k, name := range names {
-				series[k] = [2]string{name, fmt.Sprintf("%d", tu.MemWaits[obs.MemWaitKind(k)])}
-			}
-			counters = append(counters, obs.TraceCounter{
-				Name:   "memwait",
-				PID:    m.Chip.Cfg.QuadOf(tid),
-				TID:    tid,
-				At:     lastIssue[tid],
-				Series: series,
-			})
-		}
-		// An attached timeline adds time-resolved chip-wide counter
-		// tracks (per-interval stall/memwait/busy deltas) on pid 0.
-		if m.TL != nil {
-			counters = append(counters, m.TL.CounterTracks()...)
-		}
+		counters = append(counters, obs.TraceCounter{
+			Name:   "memwait",
+			PID:    m.Chip.Cfg.QuadOf(tid),
+			TID:    tid,
+			At:     lastIssue[tid],
+			Series: series,
+		})
+	}
+	// An attached timeline adds time-resolved chip-wide counter
+	// tracks (per-interval stall/memwait/busy deltas) on pid 0.
+	if m.TL != nil {
+		counters = append(counters, m.TL.CounterTracks()...)
 	}
 	return obs.WriteChromeTrace(w, threads, slices, counters)
 }

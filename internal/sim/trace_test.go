@@ -71,15 +71,6 @@ loop:	addi r10, r10, -1
 	}
 }
 
-func TestTraceFilter(t *testing.T) {
-	buf := NewTraceBuffer(128)
-	buf.Filter = 3 // a unit that never runs in this test
-	tracedRun(t, "li r8, 1\nhalt", buf)
-	if buf.Len() != 0 {
-		t.Errorf("filtered trace recorded %d entries", buf.Len())
-	}
-}
-
 func TestTraceBufferMinCapacity(t *testing.T) {
 	buf := NewTraceBuffer(0)
 	buf.record(TraceEntry{TID: 1})

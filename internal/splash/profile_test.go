@@ -1,18 +1,11 @@
 package splash
 
-import (
-	"testing"
-
-	"cyclops/internal/obs"
-)
+import "testing"
 
 // At a sampling interval of 1 the profiler samples every charged cycle,
 // so the direct-execution engine's sample totals must equal the summed
 // run+stall ledger totals exactly.
 func TestFFTProfileReconcilesAtIntervalOne(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	r, err := RunFFT(FFTOpts{
 		Config: Config{Threads: 4, Barrier: SW, ProfileEvery: 1},
 		N:      256,
@@ -31,9 +24,6 @@ func TestFFTProfileReconcilesAtIntervalOne(t *testing.T) {
 // The FFT kernel annotates its six-step phases with T.Region; the report
 // must attribute cycles to every phase plus the barrier region.
 func TestFFTProfileCoversPhases(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	r, err := RunFFT(FFTOpts{
 		Config: Config{Threads: 4, Barrier: HW, ProfileEvery: 16},
 		N:      1024,
@@ -56,9 +46,6 @@ func TestFFTProfileCoversPhases(t *testing.T) {
 // Timeline interval deltas on the direct-execution engine must telescope
 // to the end-of-run totals the Result reports.
 func TestFFTTimelineSumMatchesTotals(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	r, err := RunFFT(FFTOpts{
 		Config: Config{Threads: 4, Barrier: SW, TimelineEvery: 128},
 		N:      1024,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cyclops/internal/arch"
-	"cyclops/internal/obs"
 	"cyclops/internal/perf"
 	"cyclops/internal/prof"
 )
@@ -19,9 +18,6 @@ import (
 // class on both engines among the top-5 symbols, with a comparable share
 // of sampled cycles.
 func TestProfilesAgreeAcrossEngines(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	const threads, perThread = 8, 504
 	const every = 64
 

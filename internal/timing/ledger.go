@@ -15,10 +15,8 @@
 // per-thread obs.MemWaits telemetry exported by snapshots, the harness
 // breakdown table and the Chrome trace counters.
 //
-// Everything here is allocation-free and branch-light: with the
-// cyclops_noobs build tag the per-reason and per-kind increments compile
-// out (obs.Enabled is a false constant) and only the legacy Run/Stall
-// totals remain.
+// Everything here is allocation-free and branch-light: a charge is a
+// handful of array increments plus one nil check for the profiler.
 package timing
 
 import (
@@ -59,7 +57,7 @@ type Ledger struct {
 	// Samp, when attached, receives every charge as a profiler event:
 	// the cycle sampler sees exactly the stream the ledger books, so
 	// sampled attributions always agree with the totals. Nil (the
-	// default) and cyclops_noobs builds skip the forwarding entirely.
+	// default) skips the forwarding.
 	Samp *prof.TSampler
 	// Pol is the compiled issue policy (see Policy): the switch penalty
 	// applied per stall trigger. The zero value is fine-grained — no
@@ -70,21 +68,18 @@ type Ledger struct {
 // ChargeRun books n cycles of issued work.
 func (l *Ledger) ChargeRun(n uint64) {
 	l.Run += n
-	if obs.Enabled && l.Samp != nil {
+	if l.Samp != nil {
 		l.Samp.Charge(prof.KindRun, n)
 	}
 }
 
-// Charge books n stall cycles to reason r: the legacy total moves
-// unconditionally, the per-reason bucket only when the observability
-// layer is compiled in.
+// Charge books n stall cycles to reason r: both the legacy total and
+// the per-reason bucket move, so the buckets always sum to Stall.
 func (l *Ledger) Charge(r obs.StallReason, n uint64) {
 	l.Stall += n
-	if obs.Enabled {
-		l.Stalls[r] += n
-		if l.Samp != nil {
-			l.Samp.Charge(prof.StallKind(r), n)
-		}
+	l.Stalls[r] += n
+	if l.Samp != nil {
+		l.Samp.Charge(prof.StallKind(r), n)
 	}
 }
 
@@ -172,12 +167,10 @@ func (l *Ledger) ChargeMemStall(w cache.Wait, n uint64) {
 // waits surface later as dep stalls through the scoreboard, but their
 // location in the memory system is only known here.
 func (l *Ledger) ObserveAccess(a cache.Access) {
-	if obs.Enabled {
-		l.MemWaits[obs.MemWaitPort] += a.Wait.Port
-		l.MemWaits[obs.MemWaitBank] += a.Wait.Bank
-		l.MemWaits[obs.MemWaitFill] += a.Wait.Fill
-		l.MemWaits[obs.MemWaitHop] += a.Wait.Hop
-	}
+	l.MemWaits[obs.MemWaitPort] += a.Wait.Port
+	l.MemWaits[obs.MemWaitBank] += a.Wait.Bank
+	l.MemWaits[obs.MemWaitFill] += a.Wait.Fill
+	l.MemWaits[obs.MemWaitHop] += a.Wait.Hop
 }
 
 // ThreadStat exports the ledger as one snapshot row.

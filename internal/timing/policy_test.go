@@ -105,9 +105,6 @@ func microTrace(pol PolicyTable) *Ledger {
 // never smeared into the memory or dependence buckets — and the
 // resource buckets are identical across policies.
 func TestLedgerPolicyMatrix(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	base := obs.Breakdown{}
 	base[obs.DepStall] = 15
 	base[obs.FPUStall] = 4
@@ -143,9 +140,6 @@ func TestLedgerPolicyMatrix(t *testing.T) {
 // blocking access that both backpressures and misses charges a single
 // switch under the blocked policy (the backpressure event), not two.
 func TestSettleAccessOneSwitchPerAccess(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	a := cache.Access{Where: cache.LocalMiss, Wait: cache.Wait{Port: 1, Bank: 2}}
 	l := &Ledger{Pol: PolicyTable{OnMem: 8, OnMiss: 8}}
 	now := l.SettleAccess(a, 100, 103)
