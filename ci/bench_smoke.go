@@ -15,8 +15,8 @@
 // lane.
 //
 //   - R0, the solo dispatch loop: block/legacy simMIPS. A block-engine
-//     regression (say, a fusion pass that stops firing) shows up as a
-//     collapsed ratio even on a slow runner.
+//     dispatch regression (say, a hot op falling back to the generic
+//     issue path) shows up as a collapsed ratio even on a slow runner.
 //   - R1, the scheduler rung: a 126-thread in-cache STREAM point. Its
 //     legacy/block host-time ratio catches a scheduler regression, which
 //     the solo loop never exercises because it never queues a second
@@ -38,9 +38,10 @@ import (
 const ratioSlack = 0.8
 
 // samples per engine; medians absorb scheduler noise on shared runners.
-// The scheduler rung's runs are short, so it takes more.
+// A median of three solo-loop samples still sits inside a shared host's
+// run-to-run spread, so both rungs take nine.
 const (
-	samples      = 3
+	samples      = 9
 	schedSamples = 9
 )
 

@@ -134,9 +134,6 @@ func NewMesh(cfg LinkConfig, dims Coord, torus bool) (*Mesh, error) {
 // Cells returns the number of cells.
 func (m *Mesh) Cells() int { return m.dims.X * m.dims.Y * m.dims.Z }
 
-// Dims returns the array shape.
-func (m *Mesh) Dims() Coord { return m.dims }
-
 func (m *Mesh) index(c Coord) (int, error) {
 	if c.X < 0 || c.X >= m.dims.X || c.Y < 0 || c.Y >= m.dims.Y || c.Z < 0 || c.Z >= m.dims.Z {
 		return 0, fmt.Errorf("link: coordinate %+v outside %+v", c, m.dims)

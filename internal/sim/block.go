@@ -17,9 +17,6 @@ import (
 // unit is provably the only one due. The hot ops (single-cycle ALU,
 // conditional branches, lw/ld/sw) compile to fully specialized closures:
 // one indirect call per instruction, everything else straight-line.
-// Adjacent pairs led by a fall-through op additionally compile to fused
-// superinstructions that commit two issues per dispatch — that covers
-// lui+ori, addi+bne, ld+fma and every other back-to-back idiom.
 //
 // Timing stays exact by construction, not by approximation:
 //
@@ -27,56 +24,34 @@ import (
 //     per-issue legacy engine does (ChargeRun, WaitReady,
 //     ChargeMemStall, ObserveAccess), so every table, snapshot and
 //     profile is byte-identical across engines.
-//   - Ops are 1:1 with instructions — a block never commits more than
-//     the per-issue legacy engine would. Each issue attempt replicates
-//     one scheduler iteration: inline continuation advances m.cycle,
-//     bumps the round-robin counter and ticks the timeline exactly as a
-//     trip through Run's outer loop would, and is only taken when the
-//     calendar's minimum proves no other unit is due first.
+//   - Ops are 1:1 with instructions and there is one dispatch path: each
+//     issue attempt is one op call from stepBlock, observed or not, and
+//     replicates one scheduler iteration. Inline continuation advances
+//     m.cycle, bumps the round-robin counter and ticks the timeline
+//     exactly as a trip through Run's outer loop would, and is only
+//     taken when the calendar's minimum proves no other unit is due
+//     first.
 //   - Multi-unit batches fall back to one issue per unit per cycle, the
 //     legacy engine's exact regime, so contention, tie order and
 //     compaction are untouched.
-//   - Fused superinstructions bypass the per-attempt observability
-//     hooks, so they are compiled in but only dispatched when no tracer,
-//     profiler sampler or timeline is attached; each re-checks the
-//     inline conditions itself and commits only its first instruction
-//     when the second may not run this dispatch.
 //
 // Each text word is read and decoded once, when the block holding it
 // compiles, and every compiled block registers exactly the words it
 // covers with mem.WatchCode. A write overlapping them — a self-modifying
 // store, a DMA or program reload — bumps the memory's code generation,
-// checked before any op that follows a possible memory write, and
-// flushes every compiled block (flushBlocks). Data next to the text,
+// which stepBlock re-reads before every op and which flushes every
+// compiled block (flushBlocks) when it moves. Data next to the text,
 // even on the same page, stays outside the watch, so ordinary stores
 // never flush.
 
 // opFn executes one issue attempt at cycle; the closure performs the
-// instruction's scoreboard wait, charges, effects and PC advance. It
-// returns true only when the instruction committed, fell through to
-// pc+4 AND could not have written memory — the conditions under which a
-// fused successor may issue without another trip through the dispatch
-// loop, and the code-generation re-check may be skipped. Stalls, traps,
-// taken branches, stores and generic ops report false.
-type opFn func(m *Machine, tu *TU, cycle uint64) bool
-
-// fusedFn is a superinstruction: it always commits its first
-// instruction, and commits the second only after fuseStep proves the
-// unit is still alone and books the scheduler iteration. The returned
-// bool has opFn's meaning, for whichever instruction ran last.
-type fusedFn func(m *Machine, tu *TU, cycle, limit uint64) bool
-
-// blockOp is one compiled instruction slot. fn is always set; fused,
-// when non-nil, is the superinstruction starting at this slot.
-type blockOp struct {
-	fn    opFn
-	fused fusedFn
-}
+// instruction's scoreboard wait, charges, effects and PC advance.
+type opFn func(m *Machine, tu *TU, cycle uint64)
 
 // simBlock is one compiled basic block covering text [base, end).
 type simBlock struct {
 	base, end uint32
-	ops       []blockOp
+	ops       []opFn
 }
 
 // maxBlockOps caps a block when no isa.EndsBlock instruction shows up
@@ -86,30 +61,21 @@ const maxBlockOps = 256
 
 // stepBlock issues instructions for tu starting at the current cycle and
 // continues inline — op after op, block after block — while the issue
-// limit and the calendar allow it. Run calls it for the block engine. limit is the first cycle the unit
-// may NOT issue at inline (the batch cycle itself when other units
-// issued this cycle; unbounded when the unit is alone).
+// limit and the calendar allow it. Run calls it for the block engine.
+// limit is the first cycle the unit may NOT issue at inline (the batch
+// cycle itself when other units issued this cycle; unbounded when the
+// unit is alone).
 func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	memory := m.Chip.Mem
 	tl := m.TL
-	// Fused superinstructions skip the per-attempt observability hooks
-	// (SetPC, trace records, timeline ticks), so they dispatch only when
-	// none of those observers is attached — and only when the issue
-	// policy permits inline continuation (InlineOK).
-	fuse := m.polInline && m.Trace == nil && tl == nil && tu.Samp == nil
 	blk := tu.blk
-	// clean is opFn's contract: the last op provably wrote no memory, so
-	// the code generation cannot have moved and need not be re-read.
-	// Entry from the scheduler is never clean — another unit's batch may
-	// have stored into text.
-	clean := false
 	for {
-		if !clean {
-			if g := memory.CodeGen(); g != m.blockGen {
-				m.blockGen = g
-				m.flushBlocks()
-				blk = nil
-			}
+		// Any op may have stored into text, and on entry another unit's
+		// batch may have: re-read the code generation before every op.
+		if g := memory.CodeGen(); g != m.blockGen {
+			m.blockGen = g
+			m.flushBlocks()
+			blk = nil
 		}
 		pc := tu.PC
 		if tu.Samp != nil {
@@ -120,18 +86,12 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 				blk = m.blockFor(pc)
 				tu.blk = blk
 			}
-			op := &blk.ops[(pc-blk.base)>>2]
-			if fuse && op.fused != nil {
-				clean = op.fused(m, tu, m.cycle, limit)
-			} else {
-				clean = op.fn(m, tu, m.cycle)
-			}
+			blk.ops[(pc-blk.base)>>2](m, tu, m.cycle)
 			if m.trap != nil || tu.State != Running {
 				return
 			}
 		} else {
 			m.fetchPIB(tu, m.cycle)
-			clean = true // a PIB refill only reads memory
 		}
 		// Inline continuation: replicate one trip through the scheduler's
 		// outer loop, legal only when this unit is provably the next (and
@@ -156,25 +116,6 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 			m.tickTimeline()
 		}
 	}
-}
-
-// fuseStep books the scheduler iteration a fused pair's second issue
-// occupies: legal only when the unit is still the only one due at c2 and
-// the cycle limit is unreached. The dispatcher already verified no
-// timeline is attached, so no tick is needed here.
-func (m *Machine) fuseStep(c2, limit uint64) bool {
-	if c2 >= limit {
-		return false
-	}
-	if m.cal.min <= c2 {
-		return false
-	}
-	if m.MaxCycles > 0 && c2 > m.MaxCycles {
-		return false
-	}
-	m.cycle = c2
-	m.rr++
-	return true
 }
 
 // blockFor returns (compiling on demand) the block whose base is pc.
@@ -234,18 +175,15 @@ func (m *Machine) Precompile(pcs []uint32) {
 func (m *Machine) compileBlock(base uint32) *simBlock {
 	m.blockCompiles++
 	b := &simBlock{base: base}
-	// ins holds the decoded instructions; a trap op, always last, has none.
-	var ins []isa.Inst
 	pc := base
 	for len(b.ops) < maxBlockOps {
 		word, err := m.Chip.Mem.Read32(pc)
 		in := isa.Decode(word)
 		if err != nil || in.Op == isa.OpInvalid {
-			b.ops = append(b.ops, blockOp{fn: trapOp(pc, word, err)})
+			b.ops = append(b.ops, trapOp(pc, word, err))
 			break
 		}
-		b.ops = append(b.ops, blockOp{fn: m.compileOp(pc, in, word)})
-		ins = append(ins, in)
+		b.ops = append(b.ops, m.compileOp(pc, in, word))
 		if isa.EndsBlock(in) {
 			break
 		}
@@ -253,92 +191,19 @@ func (m *Machine) compileBlock(base uint32) *simBlock {
 	}
 	b.end = base + uint32(4*len(b.ops))
 	m.Chip.Mem.WatchCode(base, b.end)
-	// Superinstruction pass: any run of ops whose leading members are
-	// fuse leaders — ops that can commit a fall-through without writing
-	// memory — becomes a superinstruction of up to maxFuse issues; the
-	// final member is arbitrary. Chains may overlap (every leader slot
-	// starts its own); the dispatcher naturally enters whichever slot
-	// execution reaches, so a mid-chain branch target loses nothing.
-	fns := make([]opFn, len(b.ops))
-	for i := range b.ops {
-		fns[i] = b.ops[i].fn
-	}
-	for i := 0; i+1 < len(ins); i++ {
-		if !canLeadFuse(ins[i]) {
-			continue
-		}
-		j := i + 1
-		for j+1 < len(ins) && j-i+1 < maxFuse && canLeadFuse(ins[j]) {
-			j++
-		}
-		b.ops[i].fused = fuseChain(fns[i : j+1])
-	}
 	return b
-}
-
-// maxFuse caps a superinstruction's length; longer straight runs simply
-// chain superinstructions across dispatches.
-const maxFuse = 8
-
-// fuseChain composes a run of compiled ops into a superinstruction. All
-// ops but the last are fuse leaders (canLeadFuse): each returns true
-// only when it committed, fell through and wrote no memory — so the
-// next issue may skip the dispatch loop's per-attempt hooks (all gated
-// off by the dispatcher) and the code-generation re-check. The final op
-// is arbitrary: every op performs its own scoreboard wait and charges,
-// so a dependent instruction mid-chain commits its predecessors plus
-// its own dep stall, exactly as the plain path would, and issues on a
-// later dispatch.
-func fuseChain(ops []opFn) fusedFn {
-	return func(m *Machine, tu *TU, cyc, limit uint64) bool {
-		if !ops[0](m, tu, cyc) {
-			return true // fuse leaders never write memory, even on false
-		}
-		for k := 1; k < len(ops); k++ {
-			c := tu.nextAt
-			if !tu.pib.contains(tu.PC) || !m.fuseStep(c, limit) {
-				return true // committed exactly the plain ops' state
-			}
-			if ok := ops[k](m, tu, c); !ok {
-				// A false from a leader is a stall, trap or taken
-				// branch — never a write. A false from the final op may
-				// be a store or a generic issue: not clean.
-				return k != len(ops)-1
-			}
-		}
-		return true
-	}
-}
-
-// canLeadFuse reports whether in can lead a superinstruction: its
-// compiled op never writes memory and reports fall-through commits
-// (single-cycle ALU ops, lw/ld, and conditional branches on their
-// not-taken path). Stores write, jumps always redirect, and everything
-// generic may do either — none can lead.
-func canLeadFuse(in isa.Inst) bool {
-	switch in.Op {
-	case isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpNOR,
-		isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpSLT, isa.OpSLTU,
-		isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI,
-		isa.OpSLLI, isa.OpSRLI, isa.OpSRAI, isa.OpSLTI, isa.OpSLTIU,
-		isa.OpLUI, isa.OpLW, isa.OpLD,
-		isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		return true
-	}
-	return false
 }
 
 // trapOp reproduces the per-issue fetch path's trap lazily: compilation
 // runs ahead of execution, so an illegal word only traps if the program
 // actually reaches it.
 func trapOp(pc, word uint32, err error) opFn {
-	return func(m *Machine, tu *TU, cycle uint64) bool {
+	return func(m *Machine, tu *TU, cycle uint64) {
 		if err != nil {
 			m.Trap("sim: thread %d: fetch at %#x: %v", tu.ID, pc, err)
 		} else {
 			m.Trap("sim: thread %d: illegal instruction %#08x at %#x", tu.ID, word, pc)
 		}
-		return false
 	}
 }
 
@@ -367,9 +232,8 @@ func (m *Machine) compileOp(pc uint32, in isa.Inst, word uint32) opFn {
 		return mkSW(pc, word, in.A, in.B, uint32(in.Imm), uint64(lat.MemExec))
 	}
 	info := isa.InfoRef(in.Op)
-	return func(m *Machine, tu *TU, cycle uint64) bool {
+	return func(m *Machine, tu *TU, cycle uint64) {
 		m.issue(tu, in, info, word, cycle)
-		return false
 	}
 }
 
@@ -389,10 +253,10 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 	sh := uimm & 31
 	switch in.Op {
 	case isa.OpADD:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -402,13 +266,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSUB:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -418,13 +281,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpAND:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -434,13 +296,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpOR:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -450,13 +311,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpXOR:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -466,13 +326,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpNOR:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -482,13 +341,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSLL:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -498,13 +356,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSRL:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -514,13 +371,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSRA:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -530,13 +386,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSLT:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -546,13 +401,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSLTU:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(b), tu.regReady(c)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -562,13 +416,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpADDI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -578,13 +431,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpANDI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -594,13 +446,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpORI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -610,13 +461,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpXORI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -626,13 +476,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSLLI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -642,13 +491,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSRLI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -658,13 +506,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSRAI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -674,13 +521,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSLTI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -690,13 +536,12 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpSLTIU:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := tu.regReady(b); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -706,10 +551,9 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpLUI:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			tu.Insts++ // FmtU: no sources, never waits
 			if m.Trace != nil {
 				m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
@@ -718,25 +562,22 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 			tu.ChargeRun(1)
 			tu.nextAt = cyc + 1
 			tu.PC = pc + 4
-			return true
 		}
 	}
 	return nil
 }
 
 // compileBranch builds the complete closure for a conditional branch,
-// nil for any other op. A branch reports a fall-through commit (true)
-// only when not taken, so an untaken branch can lead a fused pair while
-// a taken one ends the dispatch.
+// nil for any other op.
 func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 	ra, rb := in.A, in.B
 	target := pc + 4 + uint32(in.Imm)*4
 	switch in.Op {
 	case isa.OpBEQ:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(ra), tu.regReady(rb)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -746,16 +587,15 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			if tu.reg(ra) == tu.reg(rb) {
 				tu.PC = target
-				return false
+				return
 			}
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpBNE:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(ra), tu.regReady(rb)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -765,16 +605,15 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			if tu.reg(ra) != tu.reg(rb) {
 				tu.PC = target
-				return false
+				return
 			}
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpBLT:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(ra), tu.regReady(rb)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -784,16 +623,15 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			if int32(tu.reg(ra)) < int32(tu.reg(rb)) {
 				tu.PC = target
-				return false
+				return
 			}
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpBGE:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(ra), tu.regReady(rb)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -803,16 +641,15 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			if int32(tu.reg(ra)) >= int32(tu.reg(rb)) {
 				tu.PC = target
-				return false
+				return
 			}
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpBLTU:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(ra), tu.regReady(rb)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -822,16 +659,15 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			if tu.reg(ra) < tu.reg(rb) {
 				tu.PC = target
-				return false
+				return
 			}
 			tu.PC = pc + 4
-			return true
 		}
 	case isa.OpBGEU:
-		return func(m *Machine, tu *TU, cyc uint64) bool {
+		return func(m *Machine, tu *TU, cyc uint64) {
 			if r := timing.MaxReady(tu.regReady(ra), tu.regReady(rb)); r > cyc {
 				tu.nextAt = tu.WaitReady(cyc, r)
-				return false
+				return
 			}
 			tu.Insts++
 			if m.Trace != nil {
@@ -841,17 +677,16 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			if tu.reg(ra) >= tu.reg(rb) {
 				tu.PC = target
-				return false
+				return
 			}
 			tu.PC = pc + 4
-			return true
 		}
 	}
 	return nil
 }
 
 func mkJAL(pc, word uint32, a uint8, target uint32, be uint64) opFn {
-	return func(m *Machine, tu *TU, cyc uint64) bool {
+	return func(m *Machine, tu *TU, cyc uint64) {
 		tu.Insts++ // FmtJ: no sources, issues immediately
 		if m.Trace != nil {
 			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
@@ -863,15 +698,14 @@ func mkJAL(pc, word uint32, a uint8, target uint32, be uint64) opFn {
 		tu.ChargeRun(be)
 		tu.nextAt = cyc + be
 		tu.PC = target
-		return false
 	}
 }
 
 func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
-	return func(m *Machine, tu *TU, cyc uint64) bool {
+	return func(m *Machine, tu *TU, cyc uint64) {
 		if r := tu.regReady(b); r > cyc {
 			tu.nextAt = tu.WaitReady(cyc, r)
-			return false
+			return
 		}
 		tu.Insts++
 		if m.Trace != nil {
@@ -883,7 +717,7 @@ func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
 			m.Trap("sim: thread %d: jalr to unaligned %#x at %#x", tu.ID, t, pc)
 			tu.ChargeRun(be)
 			tu.nextAt = cyc + be
-			return false
+			return
 		}
 		if tu.Samp != nil {
 			if a != isa.RZero {
@@ -895,15 +729,14 @@ func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
 		tu.ChargeRun(be)
 		tu.nextAt = cyc + be
 		tu.PC = t
-		return false
 	}
 }
 
 func mkLW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
-	return func(m *Machine, tu *TU, cyc uint64) bool {
+	return func(m *Machine, tu *TU, cyc uint64) {
 		if r := tu.regReady(b); r > cyc {
 			tu.nextAt = tu.WaitReady(cyc, r)
-			return false
+			return
 		}
 		tu.Insts++
 		if m.Trace != nil {
@@ -913,12 +746,12 @@ func mkLW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 		phys := arch.Phys(ea)
 		if phys%4 != 0 {
 			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 4, ea, pc)
-			return false
+			return
 		}
 		v, err := m.Chip.Mem.Read32(phys &^ 3)
 		if err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
-			return false
+			return
 		}
 		acc := m.Chip.Data.Load(cyc, ea, 4, tu.Quad)
 		tu.setReg(a, v, acc.Done)
@@ -928,15 +761,14 @@ func mkLW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 		// policy's miss-switch penalty, same as the generic issue path.
 		tu.nextAt = tu.SettleAccess(acc, cyc+memExec, cyc+1)
 		tu.PC = pc + 4
-		return true
 	}
 }
 
 func mkLD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
-	return func(m *Machine, tu *TU, cyc uint64) bool {
+	return func(m *Machine, tu *TU, cyc uint64) {
 		if r := tu.regReady(b); r > cyc {
 			tu.nextAt = tu.WaitReady(cyc, r)
-			return false
+			return
 		}
 		tu.Insts++
 		if m.Trace != nil {
@@ -946,16 +778,16 @@ func mkLD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 		phys := arch.Phys(ea)
 		if phys%8 != 0 {
 			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 8, ea, pc)
-			return false
+			return
 		}
 		if !FRegOK(a) {
 			m.Trap("sim: thread %d: ld destination r%d not a pair at %#x", tu.ID, a, pc)
-			return false
+			return
 		}
 		v, err := m.Chip.Mem.Read64(phys)
 		if err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
-			return false
+			return
 		}
 		acc := m.Chip.Data.Load(cyc, ea, 8, tu.Quad)
 		tu.setReg(a, uint32(v), acc.Done)
@@ -964,15 +796,14 @@ func mkLD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 		tu.ChargeRun(memExec)
 		tu.nextAt = tu.SettleAccess(acc, cyc+memExec, cyc+1)
 		tu.PC = pc + 4
-		return true
 	}
 }
 
 func mkSW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
-	return func(m *Machine, tu *TU, cyc uint64) bool {
+	return func(m *Machine, tu *TU, cyc uint64) {
 		if r := timing.MaxReady(tu.regReady(a), tu.regReady(b)); r > cyc {
 			tu.nextAt = tu.WaitReady(cyc, r)
-			return false
+			return
 		}
 		tu.Insts++
 		if m.Trace != nil {
@@ -982,21 +813,19 @@ func mkSW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 		phys := arch.Phys(ea)
 		if phys%4 != 0 {
 			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 4, ea, pc)
-			return false
+			return
 		}
 		if err := m.Chip.Mem.Write32(phys, tu.reg(a)); err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
-			return false
+			return
 		}
-		// A store into watched text bumps the code generation; reporting
-		// false forces the dispatch loop to re-check it before the next
-		// op, so a store can never execute stale compiled code — not
-		// even in its own block.
+		// A store into watched text bumps the code generation, which the
+		// dispatch loop re-reads before the next op, so a store can never
+		// execute stale compiled code — not even in its own block.
 		acc := m.Chip.Data.Store(cyc, ea, 4, tu.Quad)
 		tu.ObserveAccess(acc)
 		tu.ChargeRun(memExec)
 		tu.nextAt = tu.SettleAccess(acc, cyc+memExec, acc.Done)
 		tu.PC = pc + 4
-		return false
 	}
 }

@@ -27,41 +27,60 @@ tmpl:	addi r11, r0, 42
 out:	.space 4
 `
 
-func smcOut(t *testing.T) uint32 {
-	t.Helper()
-	p, err := asm.Assemble(smcSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p.Symbols["out"]
-}
+// smcNextSrc stores over the very next word of its own block: the load,
+// the store and the patched word compile into one block before the
+// store runs, so the block engine must flush mid-block and execute the
+// new word, not the compiled "addi r11, r0, 7".
+const smcNextSrc = `
+	la   r20, out
+	la   r21, next
+	la   r22, tmpl
+	lw   r10, 0(r22)	; template word: "addi r11, r0, 42"
+	sw   r10, 0(r21)	; store into the next word of this block
+next:	addi r11, r0, 7		; rewritten before it first issues
+	sw   r11, 0(r20)
+	halt
+tmpl:	addi r11, r0, 42
+out:	.space 4
+`
 
 // TestSelfModifyingCode checks the WatchCode invalidation property on
 // both engines: the legacy interpreter (which re-reads memory each issue
 // and so is correct trivially — the pinned reference) and the block
-// engine (stale compiled blocks must flush and recompile).
+// engine (stale compiled blocks must flush and recompile), for a store
+// into an already-executed block and one into the storing block itself.
 func TestSelfModifyingCode(t *testing.T) {
+	progs := []struct{ name, src string }{
+		{"earlier block", smcSrc},
+		{"own block", smcNextSrc},
+	}
 	for _, e := range Engines() {
 		t.Run(e.String(), func(t *testing.T) {
-			m, err := tryRunEngine(smcSrc, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch e {
-			case EngineLegacy:
-				if m.blocks != nil {
-					t.Fatal("legacy engine populated the block cache")
+			for _, pr := range progs {
+				p, err := asm.Assemble(pr.src)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case EngineBlock:
-				if m.blocks == nil {
-					t.Fatal("block cache was never populated (wrong engine path taken?)")
+				m, err := tryRunEngine(pr.src, e)
+				if err != nil {
+					t.Fatalf("%s: %v", pr.name, err)
 				}
-				if m.blockFlushes == 0 {
-					t.Fatal("store into compiled text did not flush the block cache")
+				switch e {
+				case EngineLegacy:
+					if m.blocks != nil {
+						t.Fatalf("%s: legacy engine populated the block cache", pr.name)
+					}
+				case EngineBlock:
+					if m.blocks == nil {
+						t.Fatalf("%s: block cache was never populated (wrong engine path taken?)", pr.name)
+					}
+					if m.blockFlushes == 0 {
+						t.Fatalf("%s: store into compiled text did not flush the block cache", pr.name)
+					}
 				}
-			}
-			if got := word(t, m, smcOut(t)); got != 42 {
-				t.Fatalf("%s: out = %d, want 42 (stale code executed)", e, got)
+				if got := word(t, m, p.Symbols["out"]); got != 42 {
+					t.Fatalf("%s on %s: out = %d, want 42 (stale code executed)", pr.name, e, got)
+				}
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"cyclops/internal/asm"
 	"cyclops/internal/core"
 	"cyclops/internal/isa"
+	"cyclops/internal/prof"
 	"cyclops/internal/timing"
 )
 
@@ -73,6 +74,13 @@ func scenarioFor(polDraw, latDraw int) diffScenario {
 // tight cycle budget (random programs may loop forever; the identical
 // cycle-limit error is then part of the compared state).
 func diffRun(src string, e Engine, sc diffScenario) (*Machine, error) {
+	return diffRunObserved(src, e, sc, false)
+}
+
+// diffRunObserved is diffRun, optionally with every observer attached: a
+// TraceBuffer, a guest profiler and an interval timeline. Observers read
+// the run; they must never change it.
+func diffRunObserved(src string, e Engine, sc diffScenario, observed bool) (*Machine, error) {
 	p, err := asm.Assemble(src)
 	if err != nil {
 		return nil, err
@@ -82,6 +90,11 @@ func diffRun(src string, e Engine, sc diffScenario) (*Machine, error) {
 	m.SetEngine(e)
 	m.SetPolicy(sc.pol)
 	m.MaxCycles = 50_000
+	if observed {
+		m.Trace = NewTraceBuffer(64)
+		m.AttachProfile(prof.New(7))
+		m.AttachTimeline(prof.NewTimeline(50))
+	}
 	if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
 		return nil, err
 	}
@@ -115,15 +128,19 @@ func diffState(m *Machine, err error) string {
 }
 
 // diffCompare runs src on both engines under scenario sc and fails the
-// test if the block engine diverges from the legacy oracle.
+// test if the block engine diverges from the legacy oracle — plain, or
+// with every observer attached (observed and unobserved runs share one
+// dispatch path, so observers must not move any compared state).
 func diffCompare(t *testing.T, name, src string, sc diffScenario) {
 	t.Helper()
 	ref, refErr := diffRun(src, EngineLegacy, sc)
 	want := diffState(ref, refErr)
-	m, err := diffRun(src, EngineBlock, sc)
-	if got := diffState(m, err); got != want {
-		t.Fatalf("%s (%s): block engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- block ---\n%s",
-			name, sc, src, want, got)
+	for _, observed := range []bool{false, true} {
+		m, err := diffRunObserved(src, EngineBlock, sc, observed)
+		if got := diffState(m, err); got != want {
+			t.Fatalf("%s (%s, observed=%v): block engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- block ---\n%s",
+				name, sc, observed, src, want, got)
+		}
 	}
 }
 

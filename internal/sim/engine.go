@@ -14,9 +14,9 @@ type Engine uint8
 
 const (
 	// EngineBlock is the production engine: basic blocks compiled once
-	// into slices of pre-bound closures (threaded code) with fused
-	// superinstructions, executed a whole block per dispatch while the
-	// thread unit is provably the only one due (see block.go).
+	// into slices of pre-bound closures (threaded code), one closure per
+	// instruction, run op after op without returning to the scheduler
+	// while the thread unit is provably the only one due (see block.go).
 	EngineBlock Engine = iota
 	// EngineLegacy is the seed interpreter: per-issue fetch+decode and an
 	// O(active) min-scan scheduler. Kept as the independent oracle the

@@ -128,10 +128,8 @@ type Machine struct {
 	// are cycle- and byte-identical; they differ in host cost.
 	engine Engine
 
-	// pol is the issue policy (see policy.go); polInline caches its
-	// InlineOK answer for the block engine's continuation rule.
-	pol       Policy
-	polInline bool
+	// pol is the issue policy (see policy.go).
+	pol Policy
 
 	// MaxCycles aborts runaway programs; 0 means no limit.
 	MaxCycles uint64
@@ -285,10 +283,10 @@ func (m *Machine) Run() error {
 		m.rr++
 		m.batch = m.cal.pop(m.cycle, m.active, m.rr, m.batch[:0])
 		limit := m.cycle
-		if len(m.batch) == 1 && m.polInline {
-			// A lone ready unit may run unboundedly inline — but only when
-			// the issue policy certifies its timing flows entirely through
-			// ledger charges and resume times (InlineOK).
+		if len(m.batch) == 1 {
+			// A lone ready unit may run unboundedly inline: every policy's
+			// timing flows through ledger charges and resume times, which
+			// the calendar already sees.
 			limit = ^uint64(0)
 		}
 		anyHalted := false
